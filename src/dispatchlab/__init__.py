@@ -3,15 +3,16 @@
 from .world import (
     ConstraintViolation,
     DemandModel,
+    DriverBatch,
     DriverSlot,
     GridWorld,
+    OrderBatch,
     OrderRequest,
     State,
     TransitionTuple,
 )
 from .valuation import (
     TupleArrays,
-    TupleIndex,
     ValueTable,
     discounted_reward,
     dp_evaluate,
@@ -37,7 +38,7 @@ from .dispatch import (
     MatchResult,
     advantage_transform,
     build_problem,
-    greedy_scores,
+    discount_powers,
     km_match,
 )
 from .simulator import DayMetrics, DriverPool, apply_matching, generate_window, run_day

@@ -95,9 +95,9 @@ def simulate(config_path, out_dir, seeds, policies, parallel):
     except (ConfigError, ScenarioError, FileNotFoundError) as e:
         raise click.ClickException(str(e))
     out = _resolve_out(out_dir, cfg.scenario.name)
+    results = _run_grid(cfg, parallel, "simulate")
     os.makedirs(out, exist_ok=True)
     write_manifest(os.path.join(out, "manifest.yaml"), cfg.manifest())
-    results = _run_grid(cfg, parallel, "simulate")
     name = cfg.scenario.name
     write_csv(os.path.join(out, "per_day.csv"), PER_DAY_HEADER, per_day_rows(name, results))
     write_csv(os.path.join(out, "summary.csv"), SUMMARY_HEADER, summary_rows(name, results))
@@ -120,9 +120,9 @@ def repeat_day(config_path, out_dir, seeds, policies, repetitions, parallel):
     if repetitions is not None:
         cfg.repetitions = repetitions
     out = _resolve_out(out_dir, cfg.scenario.name)
+    results = _run_grid(cfg, parallel, "repeat")
     os.makedirs(out, exist_ok=True)
     write_manifest(os.path.join(out, "manifest.yaml"), cfg.manifest())
-    results = _run_grid(cfg, parallel, "repeat")
     write_csv(
         os.path.join(out, "repeat_day.csv"),
         REPEAT_HEADER,
@@ -151,7 +151,7 @@ def concordance(config_path, source_table, target_table, out_path):
         )
     pair_cfg = cfg.scenario.pair_config
     if isinstance(pair_cfg, dict):
-        pairs = default_pair_set(v_src, pair_cfg.get("q", 0.2))
+        pairs = default_pair_set(v_src, pair_cfg["q"])
     else:
         pairs = pair_cfg
     spec = ConcordanceSpec(pairs=pairs, lam=cfg.scenario.lam, margin=cfg.scenario.margin)

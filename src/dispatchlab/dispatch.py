@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .valuation import ValueTable, truncated_discounted_reward
-from .world import DriverSlot, GridWorld, OrderRequest
+from .valuation import ValueTable
+from .world import DriverBatch, GridWorld, OrderBatch
 
 NEG_INF = -np.inf
 
@@ -29,8 +29,8 @@ class MatchProblem:
     objective stays recoverable.
     """
 
-    drivers: List[DriverSlot]
-    orders: List[OrderRequest]
+    drivers: DriverBatch
+    orders: OrderBatch
     scores: np.ndarray
     feasible: np.ndarray
     row_offsets: np.ndarray = field(default=None)
@@ -43,27 +43,33 @@ class MatchProblem:
             raise ValueError("scores must have one row per driver")
         if self.feasible.shape != self.scores.shape:
             raise ValueError("feasibility mask shape must match scores")
-        if not np.all(self.feasible[:, 0]):
+        if not self.feasible[:, 0].all():
             raise ValueError("the null option must always be feasible")
         if self.row_offsets is None:
             self.row_offsets = np.zeros(m)
 
     def to_json(self) -> str:
+        d, o = self.drivers, self.orders
         return json.dumps(
             {
                 "drivers": [
-                    {"driver_id": d.driver_id, "t": d.state.t, "cell": d.state.cell}
-                    for d in self.drivers
+                    {"driver_id": i, "t": d.t, "cell": c}
+                    for i, c in zip(d.driver_id.tolist(), d.cell.tolist())
                 ],
                 "orders": [
                     {
-                        "origin": o.origin,
-                        "destination": o.destination,
-                        "revenue": o.revenue,
-                        "duration": o.duration,
-                        "created_at": o.created_at,
+                        "origin": a,
+                        "destination": b,
+                        "revenue": r,
+                        "duration": k,
+                        "created_at": o.t,
                     }
-                    for o in self.orders
+                    for a, b, r, k in zip(
+                        o.origin.tolist(),
+                        o.destination.tolist(),
+                        o.revenue.tolist(),
+                        o.duration.tolist(),
+                    )
                 ],
                 "scores": self.scores.tolist(),
                 "feasible": self.feasible.tolist(),
@@ -84,9 +90,19 @@ class MatchResult:
         return json.dumps({"assignment": self.assignment, "objective": self.objective})
 
 
+def discount_powers(gamma: float, n: int) -> np.ndarray:
+    """gamma ** k for k < n, as numpy's array power computes them.
+
+    build_problem reads every gamma ** k from this table. Its entries are
+    the values `gamma ** k.astype(float)` gives elementwise, which may
+    differ in the last bit from Python's scalar `gamma ** k`.
+    """
+    return gamma ** np.arange(n, dtype=float)
+
+
 def build_problem(
-    drivers: Sequence[DriverSlot],
-    orders: Sequence[OrderRequest],
+    drivers: DriverBatch,
+    orders: OrderBatch,
     value: ValueTable,
     gamma: float,
     world: GridWorld,
@@ -99,57 +115,36 @@ def build_problem(
     """
     m, n = len(drivers), len(orders)
     T = value.horizon
+    t = drivers.t
     scores = np.zeros((m, n + 1))
     feasible = np.ones((m, n + 1), dtype=bool)
     if m == 0:
-        return MatchProblem(list(drivers), list(orders), scores, feasible)
-    driver_cells = np.array([d.state.cell for d in drivers], dtype=np.int64)
-    driver_ts = np.array([d.state.t for d in drivers], dtype=np.int64)
-    scores[:, 0] = value.values[driver_ts, driver_cells]
+        return MatchProblem(drivers, orders, scores, feasible)
+    cells = drivers.cell
+    scores[:, 0] = value.values[t, cells]
     if n == 0:
-        return MatchProblem(list(drivers), list(orders), scores, feasible)
+        return MatchProblem(drivers, orders, scores, feasible)
 
-    origins = np.array([o.origin for o in orders], dtype=np.int64)
-    dests = np.array([o.destination for o in orders], dtype=np.int64)
-    durations = np.array([o.duration for o in orders], dtype=np.int64)
-    revenues = np.array([o.revenue for o in orders])
-
-    pickup = world.pickup_matrix[driver_cells[:, None], origins[None, :]]
-    total = pickup + durations[None, :]
-    finish_t = np.minimum(driver_ts[:, None] + total, T)
+    durations = orders.duration
+    pickup = world.pickup_matrix.take(cells, 0).take(orders.origin, 1)
+    total = pickup + durations
+    finish_t = np.minimum(total + t, T)
+    powers = discount_powers(gamma, int(total.max()) + 1)
 
     # truncated installment sum, delayed by the pickup travel
-    allowed = np.clip(T - (driver_ts[:, None] + pickup), 0, None)
-    paid = np.minimum(durations[None, :], allowed)
-    per_step = revenues / durations
+    paid = np.minimum(durations, np.maximum(T - t - pickup, 0))
+    per_step = orders.revenue / durations
     if gamma == 1.0:
-        r = per_step[None, :] * paid
+        r = per_step * paid
     else:
-        r = (
-            gamma**pickup.astype(float)
-            * per_step[None, :]
-            * (1.0 - gamma**paid.astype(float))
-            / (1.0 - gamma)
-        )
-    scores[:, 1:] = gamma**total.astype(float) * value.values[finish_t, dests[None, :]] + r
+        r = powers.take(pickup) * per_step * (1.0 - powers.take(paid)) / (1.0 - gamma)
+    continuation = value.values.take(finish_t * value.n_cells + orders.destination)
+    scores[:, 1:] = powers.take(total) * continuation + r
 
-    feasible[:, 1:] = driver_ts[:, None] + pickup < T
+    feasible[:, 1:] = pickup < T - t
     if radius is not None:
         feasible[:, 1:] &= pickup <= radius
-    return MatchProblem(list(drivers), list(orders), scores, feasible)
-
-
-def greedy_scores(
-    drivers: Sequence[DriverSlot],
-    orders: Sequence[OrderRequest],
-    gamma: float,
-    world: GridWorld,
-    horizon: int,
-    radius: Optional[int] = None,
-) -> MatchProblem:
-    """Myopic problem: instant discounted order rewards only, null option worth 0."""
-    zero = ValueTable.zeros(horizon, world.n_cells, gamma)
-    return build_problem(drivers, orders, zero, gamma, world, radius)
+    return MatchProblem(drivers, orders, scores, feasible)
 
 
 def advantage_transform(p: MatchProblem) -> MatchProblem:
@@ -184,10 +179,10 @@ def km_match(p: MatchProblem) -> MatchResult:
     cost[:, :n] = order_scores
     cost[np.arange(m), n + np.arange(m)] = p.scores[:, 0]
     rows, cols = linear_sum_assignment(cost, maximize=True)
-    for r, c in zip(rows, cols):
-        assignment[r] = int(c) if c < n else None
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        assignment[r] = c if c < n else None
+    chosen = p.scores[np.arange(m), [0 if k is None else k + 1 for k in assignment]]
     objective = 0.0
-    for l in range(m):
-        k = assignment[l]
-        objective += p.scores[l, 0] if k is None else p.scores[l, k + 1]
+    for value in chosen.tolist():
+        objective += value
     return MatchResult(assignment, objective)

@@ -11,7 +11,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dispatch import advantage_transform, build_problem, greedy_scores, km_match
+from .dispatch import advantage_transform, build_problem, km_match
 from .scenario import Scenario
 from .simulator import Policy, run_day
 from .transfer import ConcordanceSpec, OptimizerSettings, transfer_evaluate
@@ -32,10 +32,18 @@ class PolicyKind(enum.Enum):
 
 @dataclass
 class Buffer:
-    """Per-day transition collections, split by originating environment."""
+    """Per-day transition collections, split by originating environment.
+
+    Each merged view is cached with the days it covers. When days are
+    appended, the new view is the stable merge of the cached view and the
+    new days only: a stable sort of [sorted(parts), new] equals the stable
+    sort of [parts, new], so the result matches `TupleArrays.concat` of all
+    parts while each day is sorted in only once.
+    """
 
     source_days: List[TupleArrays] = field(default_factory=list)
     target_days: List[TupleArrays] = field(default_factory=list)
+    _merged: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_source_day(self, arr: TupleArrays) -> None:
         self.source_days.append(arr)
@@ -43,14 +51,26 @@ class Buffer:
     def add_target_day(self, arr: TupleArrays) -> None:
         self.target_days.append(arr)
 
+    def _merge(self, key: str, parts: List[TupleArrays]) -> TupleArrays:
+        cached = self._merged.get(key)
+        if cached is not None and cached[0] == parts[: len(cached[0])]:
+            covered, arrays = cached
+            if len(covered) == len(parts):
+                return arrays
+            arrays = TupleArrays.concat([arrays] + parts[len(covered) :])
+        else:
+            arrays = TupleArrays.concat(parts)
+        self._merged[key] = (list(parts), arrays)
+        return arrays
+
     def source_arrays(self) -> TupleArrays:
-        return TupleArrays.concat(self.source_days)
+        return self._merge("source", self.source_days)
 
     def target_arrays(self) -> TupleArrays:
-        return TupleArrays.concat(self.target_days)
+        return self._merge("target", self.target_days)
 
     def all_arrays(self) -> TupleArrays:
-        return TupleArrays.concat(self.source_days + self.target_days)
+        return self._merge("all", self.source_days + self.target_days)
 
 
 def evaluate_policy_value(
@@ -97,25 +117,19 @@ def value_dispatch_policy(
     """Collectively greedy dispatch w.r.t. a value table (advantage + exact matching)."""
 
     def policy(drivers, orders, t):
-        problem = advantage_transform(
-            build_problem(drivers, orders, value, gamma, world, radius)
-        )
-        result = km_match(problem)
-        return [
-            (drivers[l], orders[k] if k is not None else None)
-            for l, k in enumerate(result.assignment)
-        ]
+        problem = advantage_transform(build_problem(drivers, orders, value, gamma, world, radius))
+        return km_match(problem).assignment
 
     return policy
 
 
 def myopic_policy(gamma: float, world: GridWorld, horizon: int, radius: Optional[int]) -> Policy:
+    """Exact matching on instant discounted rewards: scores from an all-zero table."""
+    zero = ValueTable.zeros(horizon, world.n_cells, gamma)
+
     def policy(drivers, orders, t):
-        result = km_match(greedy_scores(drivers, orders, gamma, world, horizon, radius))
-        return [
-            (drivers[l], orders[k] if k is not None else None)
-            for l, k in enumerate(result.assignment)
-        ]
+        problem = build_problem(drivers, orders, zero, gamma, world, radius)
+        return km_match(problem).assignment
 
     return policy
 
@@ -143,7 +157,7 @@ def prepare_source(scenario: Scenario, gamma: float, seed: int) -> SourceData:
         tuples, _ = run_day(
             world, model, policy, gamma, scenario.seed + seed, phase=PHASE_SOURCE, day=day
         )
-        days.append(TupleArrays.from_tuples(tuples))
+        days.append(tuples)
     v_src = dp_evaluate(TupleArrays.concat(days), world, gamma)
     spec = scenario.concordance_spec(v_src)
     return SourceData(days=days, v_src=v_src, pairs=spec.pairs)
@@ -203,7 +217,7 @@ def run_experiment(
         tuples, metrics = run_day(
             world, target_model, policy, gamma, scenario.seed + seed, phase=PHASE_TARGET, day=day
         )
-        buffer.add_target_day(TupleArrays.from_tuples(tuples))
+        buffer.add_target_day(tuples)
         rows.append(
             DayRow(
                 day=day,
@@ -271,7 +285,7 @@ def repeat_single_day(
         tuples, metrics = run_day(
             world, target_model, policy, gamma, scenario.seed + seed, phase=PHASE_TARGET, day=0
         )
-        buffer.add_target_day(TupleArrays.from_tuples(tuples))
+        buffer.add_target_day(tuples)
         delta = (
             float(np.max(np.abs(value.values - prev.values))) if prev is not None else float("inf")
         )

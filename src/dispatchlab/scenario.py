@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import yaml
 
-from .transfer import ConcordanceSpec, OptimizerSettings
+from .transfer import ConcordanceSpec, OptimizerSettings, default_pair_set, tier_size
 from .world import DemandModel, GridWorld
 
 SCENARIO_SCHEMA = {
@@ -147,7 +147,9 @@ class Scenario:
         except jsonschema.ValidationError as e:
             path = "/".join(str(p) for p in e.absolute_path) or "<root>"
             raise ScenarioError(f"scenario field '{path}': {e.message}") from e
-        return cls(raw=data)
+        scenario = cls(raw=data)
+        scenario._check_pairs()
+        return scenario
 
     @classmethod
     def load(cls, path) -> "Scenario":
@@ -200,10 +202,28 @@ class Scenario:
 
     @property
     def pair_config(self) -> Union[dict, List[Tuple[int, int]]]:
-        pairs = self.raw.get("transfer", {}).get("pairs", {"mode": "auto", "q": 0.2})
+        pairs = self.raw.get("transfer", {}).get("pairs", {"mode": "auto"})
         if isinstance(pairs, list):
             return [tuple(p) for p in pairs]
-        return pairs
+        return {"q": 0.2, **pairs}
+
+    def _check_pairs(self) -> None:
+        """Reject a pair set that could only fail once the source table exists."""
+        n, cfg = self.n_cells, self.pair_config
+        where = "scenario field 'transfer/pairs'"
+        if isinstance(cfg, dict):
+            try:
+                tier_size(n, cfg["q"])
+            except ValueError as e:
+                raise ScenarioError(f"{where}: {e}") from e
+            return
+        for i, j in cfg:
+            if max(i, j) >= n:
+                raise ScenarioError(f"{where}: pair [{i}, {j}] names a cell >= N = {n}")
+        try:
+            ConcordanceSpec(pairs=cfg, lam=self.lam, margin=self.margin)
+        except ValueError as e:
+            raise ScenarioError(f"{where}: {e}") from e
 
     def optimizer_settings(self) -> OptimizerSettings:
         o = self.raw.get("optimizer", {})
@@ -306,11 +326,9 @@ class Scenario:
 
     def concordance_spec(self, v_src) -> ConcordanceSpec:
         """Materialize the pair set (auto tiers need the source table)."""
-        from .transfer import default_pair_set
-
         cfg = self.pair_config
         if isinstance(cfg, dict):
-            pairs = default_pair_set(v_src, cfg.get("q", 0.2))
+            pairs = default_pair_set(v_src, cfg["q"])
         else:
             pairs = cfg
         return ConcordanceSpec(pairs=pairs, lam=self.lam, margin=self.margin)

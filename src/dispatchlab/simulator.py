@@ -3,28 +3,27 @@
 Demand for a given (seed, phase, day, window) is drawn from its own RNG
 stream, so runs with different dispatch policies see identical order
 realizations under a shared seed (common random numbers).
+
+A window travels as columns: `generate_window` returns an `OrderBatch` and
+the idle drivers as a `DriverBatch`, the policy returns one order index (or
+None) per driver, and `apply_matching` turns that into the window's rows of
+a `TupleArrays` buffer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .valuation import truncated_discounted_reward
-from .world import (
-    ConstraintViolation,
-    DemandModel,
-    DriverSlot,
-    GridWorld,
-    OrderRequest,
-    State,
-    TransitionTuple,
-)
+from .valuation import TupleArrays
+from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, OrderBatch
 
-# A policy maps (drivers, orders, t) to per-driver assignments.
-Assignment = Tuple[DriverSlot, Optional[OrderRequest]]
-Policy = Callable[[List[DriverSlot], List[OrderRequest], int], List[Assignment]]
+# A policy maps (drivers, orders, t) to one entry per driver: the index of
+# the order it serves, or None to stay idle (the km_match assignment form).
+Policy = Callable[[DriverBatch, OrderBatch, int], Sequence[Optional[int]]]
+
+EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -55,11 +54,12 @@ class DriverPool:
         self.cell = cells.astype(np.int64)
         self.busy_until = np.zeros(len(cells), dtype=np.int64)
 
-    def idle_at(self, t: int) -> List[DriverSlot]:
-        ids = np.nonzero(self.busy_until <= t)[0]
-        return [DriverSlot(int(i), State(t, int(self.cell[i]))) for i in ids]
+    def idle_at(self, t: int) -> DriverBatch:
+        ids = (self.busy_until <= t).nonzero()[0]
+        return DriverBatch(ids, self.cell[ids], t)
 
-    def occupy(self, driver_id: int, until: int, cell: int) -> None:
+    def occupy(self, driver_id, until, cell) -> None:
+        """Mark drivers busy until `until`, ending in `cell` (scalars or arrays)."""
         self.busy_until[driver_id] = until
         self.cell[driver_id] = cell
 
@@ -75,79 +75,104 @@ def generate_window(
     t: int,
     rng: np.random.Generator,
     pool: Optional[DriverPool] = None,
-) -> Tuple[List[OrderRequest], List[DriverSlot]]:
+) -> Tuple[OrderBatch, DriverBatch]:
     """Draw this window's orders and list the idle drivers.
 
     Order counts are Poisson per cell; destinations follow the model's
     destination rows; revenue is distance-proportional with multiplicative
-    noise; duration is the origin-destination travel time.
+    noise; duration is the origin-destination travel time. The draws are, in
+    order: poisson counts, one uniform per order for its destination, one
+    revenue-noise factor per order.
     """
     if not 0 <= t < world.horizon:
         raise ValueError(f"window index {t} outside [0, {world.horizon})")
-    drivers = pool.idle_at(t) if pool is not None else []
+    drivers = pool.idle_at(t) if pool is not None else DriverBatch(EMPTY_IDS, EMPTY_IDS, t)
     if model.scripted_orders is not None:
-        return list(model.scripted_orders.get(t, [])), drivers
+        return OrderBatch.from_requests(model.scripted_orders.get(t, []), t), drivers
     counts = rng.poisson(model.rates[t])
     total = int(counts.sum())
     if total == 0:
-        return [], drivers
+        return OrderBatch.empty(t), drivers
     origins = np.repeat(np.arange(model.n_cells), counts)
     u = rng.random(total)
     dests = np.empty(total, dtype=np.int64)
+    cdf = model._dest_cdf
     idx = 0
-    for cell in np.nonzero(counts)[0]:
-        c = int(counts[cell])
-        dests[idx : idx + c] = np.searchsorted(
-            model._dest_cdf[cell], u[idx : idx + c], side="right"
-        )
+    cells = counts.nonzero()[0]
+    for cell, c in zip(cells.tolist(), counts[cells].tolist()):
+        dests[idx : idx + c] = cdf[cell].searchsorted(u[idx : idx + c], side="right")
         idx += c
     dests = np.minimum(dests, model.n_cells - 1)
     durations = world.travel_time[origins, dests]
     noise = rng.uniform(1.0 - model.revenue_noise, 1.0 + model.revenue_noise, total)
     revenues = (model.base_fare[origins] + model.price_per_step[origins] * durations) * noise
-    return [
-        OrderRequest(int(o), int(d), float(r), int(dt), t)
-        for o, d, r, dt in zip(origins, dests, revenues, durations)
-    ], drivers
+    return OrderBatch(origins, dests, revenues, durations, t), drivers
+
+
+def installment_powers(gamma: float, n: int) -> np.ndarray:
+    """gamma ** k for k < n, each computed with Python's float power.
+
+    These are the exact factors `truncated_discounted_reward` uses. numpy's
+    array power (which `dispatch.discount_powers` uses) may differ from them
+    in the last bit, so the two tables are kept apart.
+    """
+    return np.array([gamma**k for k in range(n)], dtype=float)
+
+
+def as_order_index(assignment: Sequence[Optional[int]]) -> np.ndarray:
+    """The km_match assignment form as an int64 array, -1 for idle."""
+    if isinstance(assignment, np.ndarray):
+        return assignment.astype(np.int64)
+    return np.array([-1 if k is None else k for k in assignment], dtype=np.int64)
 
 
 def apply_matching(
-    assignments: Sequence[Assignment],
-    t: int,
+    drivers: DriverBatch,
+    orders: OrderBatch,
+    assignment: Sequence[Optional[int]],
     gamma: float,
     world: GridWorld,
-) -> List[TransitionTuple]:
-    """Turn one window's assignments into transition tuples.
+) -> TupleArrays:
+    """Turn one window's assignment into its transition tuples, one per driver.
 
+    `assignment[l]` is the order driver l serves, or None (or -1) to idle.
     Serve tuples cover pickup plus trip with the truncated, pickup-delayed
     installment reward; idle tuples advance one window in place. Duplicate
     drivers or duplicate orders are rejected.
     """
-    T = world.horizon
-    seen_drivers = set()
-    seen_orders = set()
-    out = []
-    for driver, order in assignments:
-        if driver.driver_id in seen_drivers:
-            raise ConstraintViolation(f"driver {driver.driver_id} assigned twice")
-        seen_drivers.add(driver.driver_id)
-        start = driver.state
-        if order is None:
-            out.append(TransitionTuple(start, None, 0.0, State(t + 1, start.cell), 1))
-            continue
-        if id(order) in seen_orders:
-            raise ConstraintViolation("order assigned to two drivers")
-        seen_orders.add(id(order))
-        pickup = world.pickup_time(start.cell, order.origin)
-        duration = pickup + order.duration
-        finish_t = min(t + duration, T)
-        reward = gamma**pickup * truncated_discounted_reward(
-            order.revenue, order.duration, gamma, T - (t + pickup)
-        )
-        out.append(
-            TransitionTuple(start, order, reward, State(finish_t, order.destination), duration)
-        )
-    return out
+    t, T, m = drivers.t, world.horizon, len(drivers)
+    k = as_order_index(assignment)
+    if k.shape != (m,):
+        raise ConstraintViolation(f"assignment has {len(k)} entries for {m} drivers")
+    if m > 1 and np.bincount(drivers.driver_id).max() > 1:
+        raise ConstraintViolation("a driver is assigned twice")
+    serve = (k >= 0).nonzero()[0]
+    ko = k[serve]
+    if ko.size and (ko.max() >= len(orders) or np.bincount(ko).max() > 1):
+        raise ConstraintViolation("an order is assigned to two drivers or does not exist")
+    finish_t = np.full(m, t + 1, dtype=np.int64)
+    finish_cell = drivers.cell.copy()
+    reward = np.zeros(m)
+    duration = np.ones(m, dtype=np.int64)
+    if ko.size:
+        pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[ko]]
+        trip = orders.duration[ko]
+        total = pickup + trip
+        finish_t[serve] = np.minimum(t + total, T)
+        finish_cell[serve] = orders.destination[ko]
+        duration[serve] = total
+        # truncated_discounted_reward, delayed by the pickup, with the same
+        # operations in the same order; revenue >= 0 makes paid == 0 give 0.0
+        paid = np.minimum(trip, np.maximum(0, T - (t + pickup)))
+        powers = installment_powers(gamma, int(max(pickup.max(), paid.max())) + 1)
+        per_step = orders.revenue[ko] / trip
+        if gamma == 1.0:
+            installments = per_step * paid
+        else:
+            installments = per_step * (1.0 - powers[paid]) / (1.0 - gamma)
+        reward[serve] = powers[pickup] * installments
+    start_t = np.full(m, t, dtype=np.int64)
+    return TupleArrays(start_t, drivers.cell, finish_t, finish_cell, reward, duration)
 
 
 def run_day(
@@ -158,43 +183,39 @@ def run_day(
     seed: int,
     phase: int = 0,
     day: int = 0,
-) -> Tuple[List[TransitionTuple], DayMetrics]:
+) -> Tuple[TupleArrays, DayMetrics]:
     """Simulate one full day of dispatch windows.
 
     Accepted orders may be cancelled before completion with probability
     cancellation * pickup_wait (clamped to [0, 1]); a cancelled order leaves
     its driver idling for the window and earns nothing, but still counts as
-    answered.
+    answered. Order k is cancelled when the k-th of the window's
+    `random(max(1, n_orders))` draws on RNG stream 1 is not below its
+    completion probability.
     """
     pool = DriverPool(model.driver_counts)
     metrics = DayMetrics()
-    tuples: List[TransitionTuple] = []
+    parts = []
     for t in range(world.horizon):
         rng = window_rng(seed, phase, day, t)
         orders, drivers = generate_window(model, world, t, rng, pool)
         metrics.orders_created += len(orders)
-        if not drivers:
+        if not len(drivers):
             continue
-        assignments = policy(drivers, orders, t)
-        cancel_u = window_rng(seed, phase, day, t, stream=1).random(max(1, len(orders)))
-        order_ids = {id(o): k for k, o in enumerate(orders)}
-        executed: List[Assignment] = []
-        for driver, order in assignments:
-            if order is None:
-                executed.append((driver, None))
-                continue
-            metrics.orders_answered += 1
-            pickup = world.pickup_time(driver.state.cell, order.origin)
-            p_complete = min(1.0, max(0.0, 1.0 - model.cancellation * pickup))
-            if cancel_u[order_ids[id(order)]] < p_complete:
-                metrics.orders_completed += 1
-                executed.append((driver, order))
-            else:
-                executed.append((driver, None))
-        new_tuples = apply_matching(executed, t, gamma, world)
-        for (driver, _), tr in zip(executed, new_tuples):
-            if not tr.is_idle:
-                metrics.reward += tr.reward_discounted
-            pool.occupy(driver.driver_id, tr.finish.t, tr.finish.cell)
-        tuples.extend(new_tuples)
-    return tuples, metrics
+        k = as_order_index(policy(drivers, orders, t))
+        serve = (k >= 0).nonzero()[0]
+        if serve.size:
+            metrics.orders_answered += serve.size
+            cancel_u = window_rng(seed, phase, day, t, stream=1).random(max(1, len(orders)))
+            pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[k[serve]]]
+            p_complete = np.minimum(1.0, np.maximum(0.0, 1.0 - model.cancellation * pickup))
+            done = cancel_u[k[serve]] < p_complete
+            metrics.orders_completed += int(done.sum())
+            k[serve[~done]] = -1
+        window = apply_matching(drivers, orders, k, gamma, world)
+        # plain left-to-right float additions, in driver order
+        for r in window.reward[k >= 0].tolist():
+            metrics.reward += r
+        pool.occupy(drivers.driver_id, window.finish_t, window.finish_cell)
+        parts.append(window)
+    return TupleArrays.concat(parts), metrics

@@ -295,18 +295,24 @@ def transfer_evaluate(
     return ValueTable(values, gamma)
 
 
+def tier_size(n: int, q: float) -> int:
+    """Number of cells in each of the top-q and bottom-q tiers of n cells."""
+    if not 0 < q <= 0.5:
+        raise ValueError(f"tier fraction q must be in (0, 0.5], got {q}")
+    k = int(n * q)
+    if k < 1:
+        raise ValueError(f"q={q} yields an empty tier for N={n}")
+    return k
+
+
 def default_pair_set(v_src: ValueTable, q: float) -> List[Tuple[int, int]]:
     """All (hot, cold) cell pairs from the top-q and bottom-q tiers.
 
     Cells are ranked by their time-averaged source value (terminal row
     excluded); rank ties break toward the lower cell index.
     """
-    if not 0 < q <= 0.5:
-        raise ValueError(f"tier fraction q must be in (0, 0.5], got {q}")
     n = v_src.n_cells
-    k = int(n * q)
-    if k < 1:
-        raise ValueError(f"q={q} yields an empty tier for N={n}")
+    k = tier_size(n, q)
     avg = v_src.values[:-1].mean(axis=0)
     ranked = sorted(range(n), key=lambda i: (-avg[i], i))
     hot = ranked[:k]

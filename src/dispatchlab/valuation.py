@@ -103,18 +103,6 @@ class ValueTable:
             return cls(data["values"], float(data["gamma"]))
 
 
-class TupleIndex:
-    """Buffer index: tuple ids by start state and by start time."""
-
-    def __init__(self, tuples: Sequence[TransitionTuple]):
-        self.by_state: dict = {}
-        self.by_time: dict = {}
-        for j, tr in enumerate(tuples):
-            key = (tr.start.t, tr.start.cell)
-            self.by_state.setdefault(key, []).append(j)
-            self.by_time.setdefault(tr.start.t, []).append(j)
-
-
 class TupleArrays:
     """Columnar view of a transition buffer, presorted by start time."""
 

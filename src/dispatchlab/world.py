@@ -55,19 +55,17 @@ class GridWorld:
         self.horizon = horizon
         self.travel_time = tt.astype(np.int64)
         self.cell_tags = list(cell_tags) if cell_tags is not None else None
+        # travel_time with a zero diagonal, for vectorized pickup lookups
+        pickup = self.travel_time.copy()
+        np.fill_diagonal(pickup, 0)
+        pickup.setflags(write=False)
+        self.pickup_matrix = pickup
 
     def pickup_time(self, from_cell: int, to_cell: int) -> int:
         """Windows needed to reach an order's origin; zero within the same cell."""
         if from_cell == to_cell:
             return 0
         return int(self.travel_time[from_cell, to_cell])
-
-    @property
-    def pickup_matrix(self) -> np.ndarray:
-        """travel_time with a zero diagonal, for vectorized pickup lookups."""
-        m = self.travel_time.copy()
-        np.fill_diagonal(m, 0)
-        return m
 
     @classmethod
     def lattice(cls, rows: int, cols: int, horizon: int, steps_per_cell: int = 1):
@@ -101,6 +99,78 @@ class DriverSlot:
 
     driver_id: int
     state: State
+
+
+class OrderBatch:
+    """One window's orders as columns: row k is order k, created at window t.
+
+    origin, destination and duration are int64 arrays, revenue is float64;
+    every duration is >= 1 and every revenue >= 0.
+    """
+
+    __slots__ = ("origin", "destination", "revenue", "duration", "t")
+
+    def __init__(self, origin, destination, revenue, duration, t: int):
+        self.origin = np.asarray(origin, dtype=np.int64)
+        self.destination = np.asarray(destination, dtype=np.int64)
+        self.revenue = np.asarray(revenue, dtype=float)
+        self.duration = np.asarray(duration, dtype=np.int64)
+        self.t = t
+        n = len(self.origin)
+        if not (
+            self.origin.ndim == 1
+            and len(self.destination) == len(self.revenue) == len(self.duration) == n
+            and (n == 0 or (self.duration.min() >= 1 and self.revenue.min() >= 0))
+        ):
+            raise ValueError(
+                "an order batch needs equal-length 1-D columns, durations >= 1 "
+                "and revenues >= 0"
+            )
+
+    def __len__(self) -> int:
+        return len(self.origin)
+
+    @classmethod
+    def empty(cls, t: int) -> "OrderBatch":
+        none = np.empty(0, dtype=np.int64)
+        return cls(none, none, np.empty(0), none, t)
+
+    @classmethod
+    def from_requests(cls, requests: Sequence[OrderRequest], t: int) -> "OrderBatch":
+        return cls(
+            [o.origin for o in requests],
+            [o.destination for o in requests],
+            [o.revenue for o in requests],
+            [o.duration for o in requests],
+            t,
+        )
+
+
+class DriverBatch:
+    """The idle drivers offered to the matcher at window t, as columns.
+
+    driver_id and cell are non-negative int64 arrays of equal length; row l
+    is driver driver_id[l], waiting in cell[l].
+    """
+
+    __slots__ = ("driver_id", "cell", "t")
+
+    def __init__(self, driver_id, cell, t: int):
+        self.driver_id = np.asarray(driver_id, dtype=np.int64)
+        self.cell = np.asarray(cell, dtype=np.int64)
+        self.t = t
+        if not (
+            self.driver_id.ndim == 1
+            and self.driver_id.shape == self.cell.shape
+            and (len(self.cell) == 0 or min(self.driver_id.min(), self.cell.min()) >= 0)
+        ):
+            raise ValueError(
+                "a driver batch needs equal-length 1-D driver_id and cell columns, "
+                "both >= 0"
+            )
+
+    def __len__(self) -> int:
+        return len(self.driver_id)
 
 
 @dataclass(frozen=True)

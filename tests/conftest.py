@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dispatchlab import GridWorld, OrderRequest, State, TransitionTuple
+from dispatchlab import DriverBatch, GridWorld, OrderBatch, OrderRequest, State, TransitionTuple
 
 # Pass/fail lines recorded by the acceptance tests, echoed after the run.
 ACCEPTANCE_LINES = []
@@ -24,6 +24,19 @@ def make_world(n_cells=4, horizon=8, travel=None):
     if travel is None:
         travel = np.ones((n_cells, n_cells), dtype=int)
     return GridWorld(n_cells, horizon, travel)
+
+
+def driver_batch(slots, t=0):
+    """DriverBatch of DriverSlot objects that all wait at the same window."""
+    if slots:
+        t = slots[0].state.t
+        assert all(s.state.t == t for s in slots)
+    return DriverBatch([s.driver_id for s in slots], [s.state.cell for s in slots], t)
+
+
+def order_batch(requests, t=0):
+    """OrderBatch of OrderRequest objects created at window t."""
+    return OrderBatch.from_requests(requests, t)
 
 
 def random_buffer(rng, world, n_tuples, reward_scale=1.0):

@@ -218,14 +218,14 @@ def test_criterion_6_default_scenario_concordance():
     policy = myopic_policy(gamma, world, world.horizon, sc.pickup_radius)
     src_model = sc.build_source_model()
     tgt_model = sc.build_target_model()
-    src_tuples, tgt_tuples = [], []
+    src_days, tgt_days = [], []
     for day in range(3):
         s, _ = run_day(world, src_model, policy, gamma, 0, phase=0, day=day)
         t, _ = run_day(world, tgt_model, policy, gamma, 0, phase=1, day=day)
-        src_tuples.extend(s)
-        tgt_tuples.extend(t)
-    v_src = dp_evaluate(TupleArrays.from_tuples(src_tuples), world, gamma)
-    v_tgt = dp_evaluate(TupleArrays.from_tuples(tgt_tuples), world, gamma)
+        src_days.append(s)
+        tgt_days.append(t)
+    v_src = dp_evaluate(TupleArrays.concat(src_days), world, gamma)
+    v_tgt = dp_evaluate(TupleArrays.concat(tgt_days), world, gamma)
     spec = sc.concordance_spec(v_src)
     rate = concordance_rate_report(v_src, v_tgt, spec).aggregate
     elapsed = time.perf_counter() - start

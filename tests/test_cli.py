@@ -214,6 +214,54 @@ class TestConcordance:
         assert "mismatch" in result.output
 
 
+ONE_BY_THREE = dict(
+    MICRO_SCENARIO,
+    name="one-by-three",
+    grid={"rows": 1, "cols": 3},
+    demand={"hot_block": [0, 0, 1, 1], "hot_rate": 0.6, "cold_rate": 0.05},
+    transfer={"lambda": 0.5, "margin": 1.0, "pairs": {"mode": "auto", "q": 0.2}},
+)
+
+
+class TestEmptyPairTier:
+    """A 1x3 grid with q = 0.2 has no cell in either auto tier."""
+
+    def test_validate_config_fails(self, tmp_path):
+        cfg = write_config(tmp_path, scenario=ONE_BY_THREE)
+        result = CliRunner().invoke(main, ["validate-config", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert "transfer/pairs" in result.output
+        assert "Traceback" not in result.output
+
+    def test_simulate_writes_nothing(self, tmp_path):
+        cfg = write_config(tmp_path, scenario=ONE_BY_THREE)
+        out = tmp_path / "out"
+        for command in ("simulate", "repeat-day"):
+            result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+            assert result.exit_code != 0
+            assert "transfer/pairs" in result.output
+            assert "Traceback" not in result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert not out.exists() or not any(out.iterdir())
+
+
+class TestFailedGrid:
+    def test_no_manifest_when_the_grid_fails(self, tmp_path, monkeypatch):
+        import dispatchlab.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("grid failed")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        monkeypatch.setattr(cli, "repeat_single_day", broken)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        for command in ("simulate", "repeat-day"):
+            result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+            assert isinstance(result.exception, RuntimeError)
+            assert not out.exists()
+
+
 class TestValidateConfig:
     def test_valid_config(self, tmp_path):
         cfg = write_config(tmp_path)

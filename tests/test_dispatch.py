@@ -10,19 +10,19 @@ from dispatchlab import (
     ValueTable,
     advantage_transform,
     build_problem,
+    discount_powers,
     discounted_reward,
-    greedy_scores,
     km_match,
 )
 
-from conftest import brute_force_match, make_world
+from conftest import brute_force_match, driver_batch, make_world, order_batch
 
 
 def problem_from_scores(scores, feasible=None):
     scores = np.asarray(scores, dtype=float)
     m, w = scores.shape
-    drivers = [DriverSlot(l, State(0, 0)) for l in range(m)]
-    orders = [OrderRequest(0, 1, 1.0, 1, 0) for _ in range(w - 1)]
+    drivers = driver_batch([DriverSlot(l, State(0, 0)) for l in range(m)])
+    orders = order_batch([OrderRequest(0, 1, 1.0, 1, 0) for _ in range(w - 1)])
     if feasible is None:
         feasible = np.ones_like(scores, dtype=bool)
     return MatchProblem(drivers, orders, scores, np.asarray(feasible, dtype=bool))
@@ -39,16 +39,23 @@ class TestMatchProblem:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="column"):
             MatchProblem(
-                [DriverSlot(0, State(0, 0))], [], np.zeros((1, 3)), np.ones((1, 3), bool)
+                driver_batch([DriverSlot(0, State(0, 0))]),
+                order_batch([]),
+                np.zeros((1, 3)),
+                np.ones((1, 3), bool),
             )
         with pytest.raises(ValueError, match="row"):
-            MatchProblem([], [], np.zeros((1, 1)), np.ones((1, 1), bool))
+            MatchProblem(
+                driver_batch([]), order_batch([]), np.zeros((1, 1)), np.ones((1, 1), bool)
+            )
 
     def test_null_must_stay_feasible(self):
         feas = np.ones((1, 1), dtype=bool)
         feas[0, 0] = False
         with pytest.raises(ValueError, match="null"):
-            MatchProblem([DriverSlot(0, State(0, 0))], [], np.zeros((1, 1)), feas)
+            MatchProblem(
+                driver_batch([DriverSlot(0, State(0, 0))]), order_batch([]), np.zeros((1, 1)), feas
+            )
 
     def test_json_round_trips_through_loads(self):
         import json
@@ -65,16 +72,16 @@ class TestBuildProblem:
         vals = np.zeros((9, 3))
         vals[2] = [1.0, 2.0, 3.0]
         table = ValueTable(vals, 0.9)
-        drivers = [DriverSlot(0, State(2, 1)), DriverSlot(1, State(2, 2))]
-        p = build_problem(drivers, [], table, 0.9, world)
+        drivers = driver_batch([DriverSlot(0, State(2, 1)), DriverSlot(1, State(2, 2))])
+        p = build_problem(drivers, order_batch([], 2), table, 0.9, world)
         assert p.scores.shape == (2, 1)
         assert p.scores[:, 0] == pytest.approx([2.0, 3.0])
 
     def test_zero_table_scores_are_instant_rewards(self):
         world = make_world(3, 8)
         table = ValueTable.zeros(8, 3, 0.9)
-        drivers = [DriverSlot(0, State(0, 0))]
-        orders = [OrderRequest(0, 1, 6.0, 2, 0), OrderRequest(0, 2, 3.0, 1, 0)]
+        drivers = driver_batch([DriverSlot(0, State(0, 0))])
+        orders = order_batch([OrderRequest(0, 1, 6.0, 2, 0), OrderRequest(0, 2, 3.0, 1, 0)])
         p = build_problem(drivers, orders, table, 0.9, world)
         assert p.scores[0, 0] == 0.0
         assert p.scores[0, 1] == pytest.approx(discounted_reward(6.0, 2, 0.9))
@@ -87,8 +94,8 @@ class TestBuildProblem:
         vals[2, 1] = 2.0
         table = ValueTable(vals, 0.9)
         p = build_problem(
-            [DriverSlot(0, State(0, 0))],
-            [OrderRequest(0, 1, 2.0, 2, 0)],
+            driver_batch([DriverSlot(0, State(0, 0))]),
+            order_batch([OrderRequest(0, 1, 2.0, 2, 0)]),
             table,
             0.9,
             world,
@@ -108,7 +115,7 @@ class TestBuildProblem:
             OrderRequest(int(rng.integers(0, 9)), int(rng.integers(0, 9)), 5.0, 3, 4)
             for _ in range(6)
         ]
-        p = build_problem(drivers, orders, table, 0.9, world)
+        p = build_problem(driver_batch(drivers), order_batch(orders, 4), table, 0.9, world)
         for l, d in enumerate(drivers):
             assert p.scores[l, 0] == pytest.approx(q_value(table, d, None, 0.9, world))
             for k, o in enumerate(orders):
@@ -119,16 +126,25 @@ class TestBuildProblem:
     def test_radius_and_horizon_feasibility(self):
         world = GridWorld.lattice(1, 6, 10)  # cells 0..5 on a line
         table = ValueTable.zeros(10, 6, 0.9)
-        drivers = [DriverSlot(0, State(8, 0))]
-        orders = [
-            OrderRequest(2, 3, 5.0, 1, 8),  # pickup 2 > radius 1
-            OrderRequest(1, 2, 5.0, 1, 8),  # pickup 1, starts at t=9 < T
-            OrderRequest(3, 4, 5.0, 1, 8),  # pickup 3 -> t+pickup beyond T
-        ]
+        drivers = driver_batch([DriverSlot(0, State(8, 0))])
+        orders = order_batch(
+            [
+                OrderRequest(2, 3, 5.0, 1, 8),  # pickup 2 > radius 1
+                OrderRequest(1, 2, 5.0, 1, 8),  # pickup 1, starts at t=9 < T
+                OrderRequest(3, 4, 5.0, 1, 8),  # pickup 3 -> t+pickup beyond T
+            ],
+            8,
+        )
         p = build_problem(drivers, orders, table, 0.9, world, radius=1)
         assert not p.feasible[0, 1]
         assert p.feasible[0, 2]
         assert not p.feasible[0, 3]
+
+
+    def test_discount_powers_are_array_powers(self):
+        assert np.array_equal(discount_powers(0.9, 30), 0.9 ** np.arange(30).astype(float))
+        # an entry does not depend on the length of the table it is built in
+        assert np.array_equal(discount_powers(0.9, 7), discount_powers(0.9, 30)[:7])
 
 
 class TestAdvantageTransform:
@@ -202,12 +218,13 @@ class TestKmMatch:
 class TestGreedyScores:
     def test_prefers_higher_revenue(self):
         world = make_world(2, 10)
-        drivers = [DriverSlot(0, State(0, 0))]
-        orders = [OrderRequest(0, 1, 10.0, 1, 0), OrderRequest(0, 1, 3.0, 1, 0)]
-        res = km_match(greedy_scores(drivers, orders, 0.9, world, 10))
+        drivers = driver_batch([DriverSlot(0, State(0, 0))])
+        orders = order_batch([OrderRequest(0, 1, 10.0, 1, 0), OrderRequest(0, 1, 3.0, 1, 0)])
+        res = km_match(build_problem(drivers, orders, ValueTable.zeros(10, 2, 0.9), 0.9, world))
         assert res.assignment == [0]
 
     def test_null_option_worth_zero(self):
         world = make_world(2, 10)
-        p = greedy_scores([DriverSlot(0, State(4, 1))], [], 0.9, world, 10)
+        drivers = driver_batch([DriverSlot(0, State(4, 1))])
+        p = build_problem(drivers, order_batch([], 4), ValueTable.zeros(10, 2, 0.9), 0.9, world)
         assert p.scores[0, 0] == 0.0

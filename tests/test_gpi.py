@@ -119,6 +119,34 @@ class TestEvaluatePolicyValue:
         assert not np.array_equal(nc.values, to.values)
 
 
+class TestBuffer:
+    COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
+
+    def assert_same(self, got, parts):
+        want = TupleArrays.concat(parts)
+        for name in self.COLUMNS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_merged_views_equal_concat_of_parts(self):
+        world = make_world(4, 8)
+        rng = np.random.default_rng(5)
+        day = lambda: TupleArrays.from_tuples(random_buffer(rng, world, 40))  # noqa: E731
+        buffer = Buffer(source_days=[day(), day()])
+        self.assert_same(buffer.source_arrays(), buffer.source_days)
+        self.assert_same(buffer.all_arrays(), buffer.source_days)
+        assert len(buffer.target_arrays()) == 0
+        for _ in range(4):
+            buffer.add_target_day(day())
+            self.assert_same(buffer.target_arrays(), buffer.target_days)
+            self.assert_same(buffer.all_arrays(), buffer.source_days + buffer.target_days)
+        # the fixed source days are concatenated once, then reused
+        assert buffer.source_arrays() is buffer.source_arrays()
+        # a list edited in place is merged afresh, not extended
+        buffer.target_days = buffer.target_days[1:]
+        self.assert_same(buffer.target_arrays(), buffer.target_days)
+        self.assert_same(buffer.all_arrays(), buffer.source_days + buffer.target_days)
+
+
 class TestRunExperiment:
     def test_zero_days_is_empty(self):
         sc = micro_scenario()

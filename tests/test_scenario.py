@@ -45,6 +45,19 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="hot_block"):
             sc.build_source_model()
 
+    def test_auto_pairs_need_a_nonempty_tier(self):
+        raw = minimal_raw(grid={"rows": 1, "cols": 3})
+        with pytest.raises(ScenarioError, match="transfer/pairs"):
+            Scenario.from_dict(raw)
+        raw["transfer"] = {"pairs": {"mode": "auto", "q": 0.34}}
+        assert Scenario.from_dict(raw).n_cells == 3
+
+    def test_explicit_pairs_must_name_cells(self):
+        with pytest.raises(ScenarioError, match="transfer/pairs"):
+            Scenario.from_dict(minimal_raw(transfer={"pairs": [[0, 6]]}))
+        with pytest.raises(ScenarioError, match="transfer/pairs"):
+            Scenario.from_dict(minimal_raw(transfer={"pairs": [[2, 2]]}))
+
     def test_load_rejects_non_mapping(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("- 1\n- 2\n")

@@ -3,7 +3,9 @@ import pytest
 
 from dispatchlab import (
     DemandModel,
+    DriverBatch,
     GridWorld,
+    OrderBatch,
     OrderRequest,
     State,
     TransitionTuple,
@@ -47,6 +49,12 @@ class TestGridWorld:
         # the travel table itself is untouched
         assert w.travel_time[0, 0] == 2
 
+    def test_pickup_matrix_is_computed_once_and_read_only(self):
+        w = GridWorld(2, 10, np.array([[2, 3], [3, 2]]))
+        assert w.pickup_matrix is w.pickup_matrix
+        with pytest.raises(ValueError):
+            w.pickup_matrix[0, 1] = 7
+
     def test_lattice_l1_distances(self):
         w = GridWorld.lattice(2, 3, 10)
         assert w.n_cells == 6
@@ -65,6 +73,48 @@ class TestOrderRequest:
     def test_rejects_negative_revenue(self):
         with pytest.raises(ValueError, match="revenue"):
             OrderRequest(0, 1, -1.0, 1, 0)
+
+
+class TestOrderBatch:
+    def test_from_requests_keeps_columns(self):
+        batch = OrderBatch.from_requests(
+            [OrderRequest(0, 1, 5.0, 2, 4), OrderRequest(3, 2, 1.5, 1, 4)], 4
+        )
+        assert len(batch) == 2 and batch.t == 4
+        assert batch.origin.tolist() == [0, 3]
+        assert batch.destination.tolist() == [1, 2]
+        assert batch.revenue.tolist() == [5.0, 1.5]
+        assert batch.duration.tolist() == [2, 1]
+        assert batch.origin.dtype == np.int64 and batch.revenue.dtype == float
+
+    def test_empty(self):
+        assert len(OrderBatch.empty(3)) == 0
+        assert len(OrderBatch.from_requests([], 3)) == 0
+
+    def test_rejects_zero_duration(self):
+        with pytest.raises(ValueError, match="duration"):
+            OrderBatch([0, 1], [1, 0], [5.0, 1.0], [1, 0], 0)
+
+    def test_rejects_negative_revenue(self):
+        with pytest.raises(ValueError, match="revenue"):
+            OrderBatch([0], [1], [-1.0], [1], 0)
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            OrderBatch([0, 1], [1], [1.0, 2.0], [1, 1], 0)
+
+
+class TestDriverBatch:
+    def test_columns(self):
+        batch = DriverBatch([4, 7], [0, 2], 5)
+        assert len(batch) == 2 and batch.t == 5
+        assert batch.driver_id.dtype == np.int64 and batch.cell.dtype == np.int64
+
+    def test_rejects_ragged_or_negative_columns(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            DriverBatch([0, 1], [0], 0)
+        with pytest.raises(ValueError, match=">= 0"):
+            DriverBatch([0, 1], [0, -1], 0)
 
 
 def test_state_is_ordered_and_hashable():
