@@ -22,8 +22,9 @@ from .reporting import (
     write_manifest,
 )
 from .scenario import ScenarioError
-from .transfer import ConcordanceSpec, concordance_rate_report, default_pair_set
+from .transfer import concordance_rate_report
 from .valuation import ValueTable
+from .world import GridWorld
 
 OUT_ROOT_ENV = "DISPATCHLAB_OUT"
 
@@ -140,27 +141,34 @@ def concordance(config_path, source_table, target_table, out_path):
     """Report how often the two tables rank the configured cell pairs the same way."""
     try:
         cfg = ExperimentConfig.load(config_path)
-    except (ConfigError, ScenarioError) as e:
+        world = cfg.scenario.build_world()
+        gamma = cfg.gammas[0]
+        v_src = _load_table(source_table, "source", gamma, world)
+        v_tgt = _load_table(target_table, "target", gamma, world)
+        spec = cfg.scenario.concordance_spec(v_src)
+        report = concordance_rate_report(v_tgt, v_src, spec)
+    except ValueError as e:
         raise click.ClickException(str(e))
-    gamma = cfg.gammas[0]
-    v_src = ValueTable.load_csv(source_table, gamma)
-    v_tgt = ValueTable.load_csv(target_table, gamma)
-    if v_src.values.shape != v_tgt.values.shape:
-        raise click.ClickException(
-            f"table shape mismatch: {v_src.values.shape} vs {v_tgt.values.shape}"
-        )
-    pair_cfg = cfg.scenario.pair_config
-    if isinstance(pair_cfg, dict):
-        pairs = default_pair_set(v_src, pair_cfg["q"])
-    else:
-        pairs = pair_cfg
-    spec = ConcordanceSpec(pairs=pairs, lam=cfg.scenario.lam, margin=cfg.scenario.margin)
-    report = concordance_rate_report(v_tgt, v_src, spec)
     click.echo(f"aggregate_concordance_rate={report.aggregate!r}")
     if out_path:
         rows = [(t, float(r)) for t, r in enumerate(report.per_time)]
         rows.append(("aggregate", report.aggregate))
         write_csv(out_path, ["slice", "rate"], rows)
+
+
+def _load_table(path: str, which: str, gamma: float, world: GridWorld) -> ValueTable:
+    """A value table whose shape is the scenario's (horizon + 1, n_cells)."""
+    try:
+        table = ValueTable.load_csv(path, gamma)
+    except ValueError as e:
+        raise ValueError(f"{which} table {path}: {e}") from e
+    expected = (world.horizon + 1, world.n_cells)
+    if table.values.shape != expected:
+        raise ValueError(
+            f"{which} table {path}: shape {table.values.shape} does not match the "
+            f"scenario's (horizon + 1, n_cells) = {expected}"
+        )
+    return table
 
 
 @main.command("validate-config")

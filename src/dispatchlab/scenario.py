@@ -122,9 +122,11 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "alpha0": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "max_iters": {"type": "integer", "minimum": 1},
                 "tol": {"type": "number", "minimum": 0},
+                # knobs of the earlier subgradient solver: accepted so that
+                # old manifests still load, and ignored
+                "alpha0": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "patience": {"type": "integer", "minimum": 1},
             },
         },
@@ -227,12 +229,7 @@ class Scenario:
 
     def optimizer_settings(self) -> OptimizerSettings:
         o = self.raw.get("optimizer", {})
-        return OptimizerSettings(
-            alpha0=o.get("alpha0"),
-            max_iters=o.get("max_iters", 250),
-            tol=o.get("tol", 1e-5),
-            patience=o.get("patience", 10),
-        )
+        return OptimizerSettings(max_iters=o.get("max_iters", 250), tol=o.get("tol", 1e-5))
 
     # -- builders ----------------------------------------------------------
     def build_world(self) -> GridWorld:
@@ -363,6 +360,6 @@ def default_scenario() -> Scenario:
                 "margin": 1.0,
                 "pairs": {"mode": "auto", "q": 0.2},
             },
-            "optimizer": {"alpha0": None, "max_iters": 250, "tol": 1e-5, "patience": 10},
+            "optimizer": {"max_iters": 250, "tol": 1e-5},
         }
     )

@@ -95,13 +95,9 @@ def generate_window(
         return OrderBatch.empty(t), drivers
     origins = np.repeat(np.arange(model.n_cells), counts)
     u = rng.random(total)
-    dests = np.empty(total, dtype=np.int64)
-    cdf = model._dest_cdf
-    idx = 0
-    cells = counts.nonzero()[0]
-    for cell, c in zip(cells.tolist(), counts[cells].tolist()):
-        dests[idx : idx + c] = cdf[cell].searchsorted(u[idx : idx + c], side="right")
-        idx += c
+    # each CDF row is non-decreasing, so counting its entries <= u is
+    # searchsorted(side="right") for all orders at once
+    dests = (model._dest_cdf[origins] <= u[:, None]).sum(axis=1)
     dests = np.minimum(dests, model.n_cells - 1)
     durations = world.travel_time[origins, dests]
     noise = rng.uniform(1.0 - model.revenue_noise, 1.0 + model.revenue_noise, total)

@@ -3,23 +3,36 @@
 The transfer idea: a value table estimated in an earlier (source) environment
 still ranks certain cell pairs correctly in the current (target) environment,
 even when the absolute values drifted. A hinge penalty on those pairs is added
-to the squared TD error, and each time slice is solved by subgradient descent
-with a diminishing step size.
+to the squared TD error. Each time slice is a convex quadratic program, solved
+exactly by a primal-dual interior-point method that stops on a certified
+duality gap (`solve_time_step`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import InitVar, dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .valuation import BufferLike, TupleArrays, ValueTable, as_arrays
 from .world import GridWorld
 
+# Weight of the pull toward the warm start on coupled cells without data. It
+# makes the slice minimizer unique (see solve_time_step) and is small enough
+# not to trade against the data or the hinge.
+TIE_BREAK_RHO = 1e-6
+# A relative duality gap below GAP_FLOOR is rounding noise, so a smaller
+# tolerance stops there. A solve also ends once STALL_ITERS iterations in a
+# row fail to reduce the smallest gap so far: near the limit of double
+# precision the gap stops falling, while on the way a single step may raise it.
+GAP_FLOOR = 64 * np.finfo(float).eps
+STALL_ITERS = 3
+
 
 class OptimizationError(RuntimeError):
-    """The subgradient solver produced a non-finite objective."""
+    """A slice objective is not finite (non-finite targets or warm start)."""
 
 
 @dataclass
@@ -57,16 +70,17 @@ class ConcordanceSpec:
 
 @dataclass
 class OptimizerSettings:
-    """Diminishing-step subgradient descent knobs (alpha_k = alpha0 / sqrt(k)).
+    """Stopping rule of the slice solver.
 
-    alpha0 = None auto-scales to 0.5 / n_max, where n_max is the largest tuple
-    count per cell in the slice, keeping the quadratic part contractive.
+    A solve stops once its relative duality gap is at most `tol`, or after
+    `max_iters` interior-point iterations. `patience` belonged to the earlier
+    subgradient solver; it is accepted and ignored, so that callers written
+    for that solver (such as perfbench/test_checks.py) still construct settings.
     """
 
-    alpha0: Optional[float] = None
-    max_iters: int = 2000
-    tol: float = 1e-13
-    patience: int = 25
+    max_iters: int = 100
+    tol: float = 1e-10
+    patience: InitVar[Optional[int]] = None
 
 
 def concordance_loss(v: ValueTable, v_src: ValueTable, spec: ConcordanceSpec) -> float:
@@ -158,10 +172,20 @@ def objective_gradient(
 
 @dataclass
 class SolveResult:
+    """Outcome of one slice solve.
+
+    `best_objective` is `penalized_objective` at `values`. `trace` starts at
+    the warm start and holds, after each iteration, the lowest solved
+    objective so far (the penalized objective plus the tie-break term), so it
+    is nonincreasing. `gap` is the relative duality gap certified for
+    `values`; 0 when the slice has a closed form.
+    """
+
     values: np.ndarray
     best_objective: float
     trace: np.ndarray
     iterations: int
+    gap: float
 
 
 def solve_time_step(
@@ -172,78 +196,165 @@ def solve_time_step(
     opt: OptimizerSettings,
     warm_start: Optional[np.ndarray] = None,
 ) -> SolveResult:
-    """Minimize the penalized slice objective by diminishing-step subgradient descent.
+    """Minimize the penalized slice objective exactly.
 
-    Returns the best iterate seen; the recorded trace is the best objective so
-    far, hence nonincreasing. Stops at max_iters or when the best objective
-    has not improved by more than tol for `patience` consecutive iterations.
+    Up to a constant the objective is sum_c n_c (v_c - mean_c)^2 plus lambda
+    times the hinge over the source-ordered pairs, where n_c and mean_c are
+    the count and mean of cell c's targets. Cells that no source-ordered pair
+    touches have a closed form: their target mean if they have data, else the
+    warm start. The coupled cells are solved as the QP
+
+        min  sum_c n_c (v_c - mean_c)^2 + lambda * sum_p xi_p
+        s.t. xi_p >= margin - s_p (v_j - v_i),  xi_p >= 0
+
+    by `_hinge_qp`. Tie-break: a coupled cell without data is not pinned by
+    the objective, so it gets a pull TIE_BREAK_RHO * (v_c - warm_c)^2 toward
+    its warm start. The minimizer is then unique: among the optimal slices,
+    the one closest to the warm start. Such a cell is only as accurate as the
+    gap allows (about gap / TIE_BREAK_RHO), so a loose `tol` lets it drift.
+
+    The solve stops when the relative duality gap is at most
+    max(opt.tol, GAP_FLOOR), when STALL_ITERS iterations in a row no longer
+    reduce the gap, or after `opt.max_iters` iterations. The result is
+    whichever of the solution and the warm start has the lower solved
+    objective, so it is never worse than the warm start.
     """
     n = len(v_src_t)
-    v = np.zeros(n) if warm_start is None else np.array(warm_start, dtype=float)
-    if opt.alpha0 is not None:
-        alpha0 = opt.alpha0
-    else:
-        n_max = int(np.bincount(cells, minlength=n).max()) if len(cells) else 1
-        alpha0 = 0.5 / max(1, n_max)
-        if spec.lam > 0 and len(spec.pairs) > 0:
-            # keep the first hinge step well inside the margin
-            deg = int(np.bincount(np.concatenate(spec.pair_arrays)).max())
-            alpha0 = min(alpha0, spec.margin / (2.0 * spec.lam * deg))
-    if alpha0 <= 0:
-        raise ValueError(f"alpha0 must be > 0, got {alpha0}")
-
-    penalty = spec.lam > 0 and len(spec.pairs) > 0
-    if not penalty:
-        # the objective is a decoupled quadratic; its exact minimizer is the
-        # per-cell target mean, with uncovered cells kept at the warm start
-        counts = np.bincount(cells, minlength=n)
-        covered = counts > 0
-        sums = np.bincount(cells, weights=targets, minlength=n)
-        v[covered] = sums[covered] / counts[covered]
-        resid = v[cells] - targets
-        obj = float(np.dot(resid, resid))
-        return SolveResult(v, obj, np.array([obj]), 0)
+    warm = np.zeros(n) if warm_start is None else np.array(warm_start, dtype=float)
+    f_warm = penalized_objective(warm, cells, targets, v_src_t, spec)
+    if not math.isfinite(f_warm):
+        raise OptimizationError(
+            f"non-finite slice objective {f_warm} at the warm start: |D(t)|={len(cells)}, "
+            f"{np.count_nonzero(~np.isfinite(targets))} non-finite targets"
+        )
+    counts = np.bincount(cells, minlength=n)
+    covered = counts > 0
+    v = warm.copy()
+    v[covered] = np.bincount(cells, weights=targets, minlength=n)[covered] / counts[covered]
+    resid = v[cells] - targets
+    const = float(np.dot(resid, resid))  # objective at the per-cell means
     pi, pj = spec.pair_arrays
-    sign_src = np.sign(v_src_t[pj] - v_src_t[pi])
-    src_ordered = sign_src != 0
+    sign = np.sign(v_src_t[pj] - v_src_t[pi])
+    ordered = sign != 0
+    if spec.lam == 0 or not ordered.any():
+        # a decoupled quadratic; the closed form is its exact minimizer
+        return SolveResult(v, const, np.array([f_warm, const]), 0, 0.0)
 
-    best_obj = math.inf
-    best_v = v.copy()
-    trace = []
-    stall = 0
-    iters = 0
-    for k in range(opt.max_iters + 1):
-        # objective and (sub)gradient share the residual/active-set work
-        resid = v[cells] - targets
-        obj = float(np.dot(resid, resid))
-        grad = 2.0 * np.bincount(cells, weights=resid, minlength=n)
-        if penalty:
-            d = v[pj] - v[pi]
-            slack = spec.margin - sign_src * d
-            obj += spec.lam * float(np.sum(np.maximum(0.0, slack[src_ordered])))
-            active = src_ordered & (slack > 0)
-            if np.any(active):
-                s = sign_src[active]
-                grad += spec.lam * np.bincount(pi[active], weights=s, minlength=n)
-                grad -= spec.lam * np.bincount(pj[active], weights=s, minlength=n)
-        if not math.isfinite(obj):
-            raise OptimizationError(
-                f"non-finite objective at iteration {k}: obj={obj}, "
-                f"alpha0={alpha0}, |D(t)|={len(cells)}, max|v|={np.max(np.abs(v))}"
-            )
-        if obj < best_obj - opt.tol:
-            stall = 0
-        else:
-            stall += 1
-        if obj < best_obj:
-            best_obj = obj
-            best_v = v.copy()
-        trace.append(best_obj)
-        if k == opt.max_iters or stall >= opt.patience:
-            iters = k
+    pi, pj, s = pi[ordered], pj[ordered], sign[ordered]
+    coupled, local = np.unique(np.concatenate([pi, pj]), return_inverse=True)
+    weight = np.where(covered[coupled], counts[coupled], TIE_BREAK_RHO)
+    x, qp_obj, dual, objs, iters = _hinge_qp(
+        local[: len(s)], local[len(s):], s, weight, v[coupled], spec.lam, spec.margin, opt
+    )
+    trace = np.minimum.accumulate(np.array([f_warm] + [const + o for o in objs]))
+    if f_warm <= const + qp_obj:
+        v, qp_obj = warm, f_warm - const
+    else:
+        v[coupled] = x
+    gap = (qp_obj - dual) / max(1.0, qp_obj)
+    return SolveResult(v, penalized_objective(v, cells, targets, v_src_t, spec), trace, iters, gap)
+
+
+def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps x + step * dx nonnegative."""
+    neg = dx < 0
+    return float(np.min(-x[neg] / dx[neg], initial=1.0))
+
+
+def _hinge_qp(
+    li: np.ndarray,
+    lj: np.ndarray,
+    s: np.ndarray,
+    d: np.ndarray,
+    a: np.ndarray,
+    lam: float,
+    margin: float,
+    opt: OptimizerSettings,
+) -> Tuple[np.ndarray, float, float, List[float], int]:
+    """Mehrotra predictor-corrector for the coupled-cell QP of a slice.
+
+        min_x  g(x) = sum_c d_c (x_c - a_c)^2 + lam * sum_p xi_p
+        s.t.   w_p = s_p (x_j - x_i) + xi_p - margin >= 0,  xi_p >= 0
+
+    for pairs p = (i, j) = (li[p], lj[p]), with multipliers y >= 0 on w and
+    z >= 0 on xi (y + z = lam at optimality). Eliminating the slacks leaves
+    the k x k normal matrix 2 diag(d) + A^T diag(1 / theta) A, where A is the
+    signed pair incidence and theta = w / y + xi / z; it is factored once per
+    iteration and serves both the predictor and the corrector solve.
+
+    Any y in [0, lam] gives the lower bound D(y) = margin * sum(y) -
+    sum_c (u_c^2 / (4 d_c) + a_c u_c) with u = A^T y, so g(x) - max D is a
+    certified duality gap. Returns the iterate of lowest g, g there, the best
+    dual bound, g after each iteration, and the iteration count.
+    """
+    p, k = len(s), len(d)
+    rows = np.arange(p)
+    A = np.zeros((p, k))
+    A[rows, lj] = s
+    A[rows, li] = -s
+    # flat positions of the (i,i), (j,j), (i,j), (j,i) entries of the normal matrix
+    flat = np.concatenate([li * (k + 1), lj * (k + 1), li * k + lj, lj * k + li])
+    signs = np.repeat([1.0, 1.0, -1.0, -1.0], p)
+    diag = np.arange(k) * (k + 1)
+
+    x = a
+    Ax = A @ x
+    xi = np.maximum(margin - Ax, 0.0) + margin
+    # the state: slacks X = (w, xi) and their multipliers Y = (y, z)
+    state = np.concatenate([Ax + xi - margin, xi, np.full(2 * p, lam / 2.0)])
+    best_x, best_g, dual, best_gap = x, math.inf, -math.inf, math.inf
+    objs: List[float] = []
+    iters = stalls = 0
+    while iters < opt.max_iters:
+        iters += 1
+        X, Y = state[: 2 * p], state[2 * p :]
+        y, z = Y[:p], Y[p:]
+        r_dual = 2.0 * d * (x - a) - A.T @ y
+        r_box = lam - y - z
+        r_primal = Ax + X[p:] - X[:p] - margin
+        XY = X * Y
+        ratio = X / Y
+        inv_theta = 1.0 / (ratio[:p] + ratio[p:])
+        normal = np.bincount(flat, np.tile(inv_theta, 4) * signs, k * k)
+        normal[diag] += 2.0 * d
+        factor, info = dpotrf(normal.reshape(k, k))
+        if info != 0:
+            break  # the normal matrix is no longer positive definite in double precision
+        base = ratio[p:] * r_box - r_primal
+
+        def newton(rc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            # rc is the complementarity residual X * Y - target
+            rhs = base + rc[p:] / z - rc[:p] / y
+            dx = dpotrs(factor, A.T @ (rhs * inv_theta) - r_dual)[0]
+            dy = (rhs - A @ dx) * inv_theta
+            dY = np.concatenate([dy, r_box - dy])
+            return dx, np.concatenate([-(rc + X * dY) / Y, dY])
+
+        dx, dstate = newton(XY)
+        step = _max_step(state, dstate)
+        trial = state + step * dstate
+        mu = XY.mean()
+        sigma = (np.mean(trial[: 2 * p] * trial[2 * p :]) / mu) ** 3
+        dX, dY = dstate[: 2 * p], dstate[2 * p :]
+        dx, dstate = newton(XY + dX * dY - sigma * mu)
+        step = min(1.0, 0.99 * _max_step(state, dstate))
+        x = x + step * dx
+        state += step * dstate
+        Ax = A @ x
+
+        y_box = np.clip(state[2 * p : 3 * p], 0.0, lam)
+        u = A.T @ y_box
+        dual = max(dual, margin * float(y_box.sum()) - float(u @ (u / (4.0 * d) + a)))
+        g = float(d @ (x - a) ** 2) + lam * float(np.maximum(0.0, margin - Ax).sum())
+        objs.append(g)
+        if g < best_g:
+            best_x, best_g = x, g
+        gap = g - dual
+        stalls = 0 if gap < best_gap else stalls + 1
+        best_gap = min(best_gap, gap)
+        if not gap > max(opt.tol, GAP_FLOOR) * max(1.0, g) or stalls == STALL_ITERS:
             break
-        v = v - (alpha0 / math.sqrt(k + 1)) * grad
-    return SolveResult(best_v, best_obj, np.array(trace), iters)
+    return best_x, best_g, dual, objs, iters
 
 
 def transfer_evaluate(
@@ -268,26 +379,8 @@ def transfer_evaluate(
         values[T, :] = 0.0
     else:
         values = np.zeros((T + 1, n))
-    penalty_active = spec.lam > 0 and len(spec.pairs) > 0
-    empty_cache: dict = {}
     for t in range(T - 1, -1, -1):
         cells, targets = td_slice(arr, t, values, gamma)
-        if len(cells) == 0:
-            if not penalty_active:
-                continue
-            # data-free slices with the same warm start and source ordering
-            # solve the identical problem; reuse the result
-            pi, pj = spec.pair_arrays
-            key = (
-                values[t].tobytes(),
-                np.sign(v_src.values[t, pj] - v_src.values[t, pi]).tobytes(),
-            )
-            if key not in empty_cache:
-                empty_cache[key] = solve_time_step(
-                    cells, targets, v_src.values[t], spec, opt, warm_start=values[t]
-                ).values
-            values[t] = empty_cache[key]
-            continue
         result = solve_time_step(
             cells, targets, v_src.values[t], spec, opt, warm_start=values[t]
         )

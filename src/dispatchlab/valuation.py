@@ -80,18 +80,34 @@ class ValueTable:
 
     @classmethod
     def load_csv(cls, path, gamma: float) -> "ValueTable":
-        rows = []
+        """Read a table written by `save_csv`: one (t, cell, value) row per entry.
+
+        The shape is (largest t + 1, largest cell + 1); every entry of it must
+        be listed exactly once.
+        """
         with open(path, newline="", encoding="utf-8") as f:
             r = csv.reader(f)
-            header = next(r)
+            header = next(r, None)
             if header != ["t", "cell", "value"]:
                 raise ValueError(f"unexpected value-table header: {header}")
-            rows = [(int(t), int(c), float(v)) for t, c, v in r]
-        horizon = max(t for t, _, _ in rows)
-        n = max(c for _, c, _ in rows) + 1
-        values = np.zeros((horizon + 1, n))
-        for t, c, v in rows:
-            values[t, c] = v
+            try:
+                rows = [(int(t), int(c), float(v)) for t, c, v in r]
+            except ValueError as e:
+                raise ValueError(f"value table line {r.line_num}: {e}") from e
+        if not rows:
+            raise ValueError("value table has no rows")
+        t, cell, value = (np.array(col) for col in zip(*rows))
+        if min(t.min(), cell.min()) < 0:
+            raise ValueError("value table has a negative t or cell")
+        listed = np.zeros((t.max() + 1, cell.max() + 1), dtype=np.int64)
+        np.add.at(listed, (t, cell), 1)
+        if np.any(listed != 1):
+            raise ValueError(
+                f"value table of shape {listed.shape} must list each (t, cell) once: "
+                f"{np.count_nonzero(listed == 0)} missing, {np.count_nonzero(listed > 1)} repeated"
+            )
+        values = np.zeros(listed.shape)
+        values[t, cell] = value
         return cls(values, gamma)
 
     def save_binary(self, path) -> None:

@@ -107,3 +107,62 @@ def brute_force_match(problem):
 
     recurse(0, set(), [], 0.0)
     return best[0], best[1]
+
+
+def qp_reference(cells, targets, v_src_t, spec):
+    """Minimizer of the penalized slice objective from scipy's bundled HiGHS.
+
+    An oracle independent of `solve_time_step`: the QP over the slice values
+    v and one slack xi_p >= 0 per source-ordered pair, with
+    xi_p + s_p (v_j - v_i) >= margin, minimizing
+    sum_c n_c (v_c - mean_c)^2 + lam * sum xi (the TD error up to a constant).
+    Cells without data get a 1e-8 curvature so the QP is strictly convex.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    n = len(v_src_t)
+    pi, pj = spec.pair_arrays
+    sign = np.sign(v_src_t[pj] - v_src_t[pi])
+    keep = sign != 0
+    pi, pj, sign = pi[keep], pj[keep], sign[keep]
+    p = len(pi)
+    counts = np.bincount(cells, minlength=n).astype(float)
+    sums = np.bincount(cells, weights=targets, minlength=n)
+    mean = np.divide(sums, counts, out=np.zeros(n), where=counts > 0)
+    inf = highs.kHighsInf
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("time_limit", 30.0)
+    no_index = np.array([], dtype=np.int32)
+    h.addCols(
+        n + p,
+        np.concatenate([-2.0 * counts * mean, np.full(p, float(spec.lam))]),
+        np.concatenate([np.full(n, -inf), np.zeros(p)]),
+        np.full(n + p, inf),
+        0,
+        no_index,
+        no_index,
+        np.array([], dtype=float),
+    )
+    index = np.stack([pj, pi, n + np.arange(p)], axis=1).ravel().astype(np.int32)
+    value = np.stack([sign, -sign, np.ones(p)], axis=1).ravel().astype(float)
+    h.addRows(
+        p,
+        np.full(p, float(spec.margin)),
+        np.full(p, inf),
+        3 * p,
+        np.arange(0, 3 * p, 3, dtype=np.int32),
+        index,
+        value,
+    )
+    h.passHessian(
+        n + p,
+        n,
+        highs.HessianFormat.kTriangular,
+        np.concatenate([np.arange(n + 1), np.full(p, n)]).astype(np.int32),
+        np.arange(n, dtype=np.int32),
+        np.where(counts > 0, 2.0 * counts, 2e-8),
+    )
+    h.run()
+    assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
+    return np.array(h.getSolution().col_value[:n])

@@ -56,7 +56,7 @@ def test_criterion_1_dp_td_equivalence():
     rng = np.random.default_rng(101)
     zero_src = ValueTable.zeros(48, 20, 0.9)
     spec = ConcordanceSpec(pairs=[], lam=0.0)
-    opt = OptimizerSettings(alpha0=None, max_iters=1500, tol=0.0, patience=2000)
+    opt = OptimizerSettings(max_iters=1500, tol=0.0)
     start = time.perf_counter()
     worst = 0.0
     for _ in range(20):
@@ -155,7 +155,7 @@ def test_criterion_3_subgradient_correctness():
 
 def test_criterion_4_optimizer_soundness():
     rng = np.random.default_rng(404)
-    opt = OptimizerSettings(alpha0=0.05, max_iters=20_000, tol=1e-16, patience=25_000)
+    opt = OptimizerSettings(max_iters=20_000, tol=1e-16)
     worst_gap = 0.0
     trace_violations = 0
     for _ in range(50):

@@ -17,7 +17,7 @@ MICRO_SCENARIO = {
     "source_days": 1,
     "demand": {"hot_block": [0, 0, 1, 2], "hot_rate": 0.6, "cold_rate": 0.05},
     "transfer": {"lambda": 0.5, "margin": 1.0, "pairs": {"mode": "auto", "q": 0.25}},
-    "optimizer": {"max_iters": 60, "tol": 1e-6, "patience": 10},
+    "optimizer": {"max_iters": 60, "tol": 1e-6},
 }
 
 
@@ -190,6 +190,49 @@ class TestConcordance:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "slice,rate"
         assert lines[-1] == "aggregate,1.0"
+
+    def run_concordance(self, tmp_path, src_text, tgt_text):
+        src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
+        src.write_text(src_text)
+        tgt.write_text(tgt_text)
+        cfg = write_config(tmp_path)
+        args = ["concordance", "--config", str(cfg)]
+        return CliRunner().invoke(
+            main, args + ["--source-table", str(src), "--target-table", str(tgt)]
+        )
+
+    @staticmethod
+    def table_text(values):
+        rows = [f"{t},{c},{v!r}" for t in range(len(values)) for c, v in enumerate(values[t])]
+        return "\n".join(["t,cell,value"] + rows) + "\n"
+
+    def test_non_numeric_value_fails_cleanly(self, tmp_path):
+        good = self.table_text(np.zeros((11, 4)).tolist())
+        bad = good.replace("3,2,0.0", "3,2,abc")
+        result = self.run_concordance(tmp_path, good, bad)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "target table" in result.output
+        assert "could not convert string to float" in result.output
+
+    def test_nonzero_terminal_row_fails_cleanly(self, tmp_path):
+        vals = np.zeros((11, 4))
+        vals[-1, 2] = 1.5
+        result = self.run_concordance(
+            tmp_path, self.table_text(vals.tolist()), self.table_text(np.zeros((11, 4)).tolist())
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "source table" in result.output
+        assert "terminal row" in result.output
+
+    def test_table_not_matching_scenario_fails(self, tmp_path):
+        # both tables agree with each other, but the scenario has horizon 10 and 4 cells
+        text = self.table_text(np.zeros((8, 4)).tolist())
+        result = self.run_concordance(tmp_path, text, text)
+        assert result.exit_code == 1
+        assert "does not match the scenario" in result.output
+        assert "(11, 4)" in result.output
 
     def test_shape_mismatch_fails(self, tmp_path):
         cfg = write_config(tmp_path)

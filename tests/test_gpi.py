@@ -43,7 +43,7 @@ def micro_scenario(**overrides):
         },
         "target_shift": {"rate_scale": 1.5, "rate_offset": 0.01, "peak_shift": 2},
         "transfer": {"lambda": 1.0, "margin": 1.0, "pairs": {"mode": "auto", "q": 0.25}},
-        "optimizer": {"max_iters": 300, "tol": 1e-8, "patience": 50},
+        "optimizer": {"max_iters": 300, "tol": 1e-8},
     }
     raw.update(overrides)
     return Scenario.from_dict(raw)
@@ -94,7 +94,7 @@ class TestEvaluatePolicyValue:
             )
 
     def test_pattern_transfer_lambda_zero_reduces_to_target_only(self):
-        opt = OptimizerSettings(max_iters=4000, tol=1e-16, patience=4000)
+        opt = OptimizerSettings(max_iters=4000, tol=1e-16)
         to = evaluate_policy_value(
             PolicyKind.TARGET_ONLY, self.buffer, None, None, self.world, 0.9
         )
@@ -167,7 +167,7 @@ class TestRunExperiment:
 
     def test_lambda_zero_transfer_matches_target_only(self):
         sc = micro_scenario(
-            optimizer={"max_iters": 4000, "tol": 1e-16, "patience": 4000}
+            optimizer={"max_iters": 4000, "tol": 1e-16}
         )
         src = prepare_source(sc, 0.9, seed=0)
         to = run_experiment(sc, PolicyKind.TARGET_ONLY, 3, 0.9, seed=0, source=src)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dispatchlab import Scenario, ScenarioError, default_scenario
+from dispatchlab import OptimizerSettings, Scenario, ScenarioError, default_scenario
 
 
 def minimal_raw(**overrides):
@@ -21,6 +21,12 @@ class TestValidation:
         sc = Scenario.from_dict(minimal_raw())
         assert sc.n_cells == 6
         assert sc.horizon == 10
+
+    def test_retired_optimizer_keys_load_and_are_ignored(self):
+        # alpha0 and patience tuned the earlier subgradient solver
+        raw = minimal_raw(optimizer={"alpha0": 0.1, "max_iters": 40, "tol": 1e-7, "patience": 5})
+        sc = Scenario.from_dict(raw)
+        assert sc.optimizer_settings() == OptimizerSettings(max_iters=40, tol=1e-7)
 
     def test_missing_required_field(self):
         raw = minimal_raw()

@@ -19,14 +19,16 @@ from dispatchlab import (
     hinge_penalty,
     objective_gradient,
     penalized_objective,
+    prepare_source,
     solve_time_step,
     td_evaluate,
     transfer_evaluate,
 )
+from dispatchlab.scenario import default_scenario
 from dispatchlab.transfer import td_slice
 from dispatchlab.valuation import TupleArrays
 
-from conftest import grid_search_oracle, make_world, random_buffer
+from conftest import grid_search_oracle, make_world, qp_reference, random_buffer
 
 
 def table_from_rows(rows, gamma=0.9):
@@ -238,7 +240,7 @@ class TestSolveTimeStep:
         cells = rng.integers(0, 3, size=40)
         targets = rng.normal(size=40)
         spec = ConcordanceSpec(pairs=[(0, 1)], lam=0.0)
-        opt = OptimizerSettings(max_iters=4000, tol=1e-16, patience=4000)
+        opt = OptimizerSettings(max_iters=4000, tol=1e-16)
         res = solve_time_step(cells, targets, np.zeros(3), spec, opt)
         means = np.array([targets[cells == c].mean() for c in range(3)])
         np.testing.assert_allclose(res.values, means, atol=1e-6)
@@ -251,7 +253,7 @@ class TestSolveTimeStep:
             targets = rng.random(k)
             v_src = rng.normal(size=2)
             spec = ConcordanceSpec(pairs=[(0, 1)], lam=1.0, margin=0.5)
-            opt = OptimizerSettings(alpha0=0.05, max_iters=20000, tol=0.0, patience=20001)
+            opt = OptimizerSettings(max_iters=20000, tol=0.0)
             res = solve_time_step(cells, targets, v_src, spec, opt)
             oracle = grid_search_oracle(cells, targets, v_src, spec, -2.0, 3.0)
             assert abs(res.best_objective - oracle) < 2e-3
@@ -260,7 +262,7 @@ class TestSolveTimeStep:
         spec = ConcordanceSpec(pairs=[(0, 1), (2, 1)], lam=1e4, margin=1.0)
         v_src = np.array([3.0, 1.0, 2.0])
         empty = np.array([], dtype=np.int64)
-        opt = OptimizerSettings(max_iters=5000, tol=1e-16, patience=5000)
+        opt = OptimizerSettings(max_iters=5000, tol=1e-16)
         res = solve_time_step(empty, np.array([]), v_src, spec, opt)
         v = res.values
         assert v[0] - v[1] >= 1.0 - 1e-6
@@ -292,23 +294,87 @@ class TestSolveTimeStep:
         )
         np.testing.assert_array_equal(res.values, warm)
 
-    def test_rejects_nonpositive_alpha0(self):
-        spec = ConcordanceSpec(pairs=[(0, 1)], lam=0.0)
-        with pytest.raises(ValueError, match="alpha0"):
-            solve_time_step(
-                np.array([0]), np.array([1.0]), np.zeros(2), spec,
-                OptimizerSettings(alpha0=-1.0),
-            )
-
-    def test_divergence_raises_with_diagnostics(self):
+    def test_non_finite_target_raises(self):
         spec = ConcordanceSpec(pairs=[(0, 1)], lam=1.0)
         cells = np.zeros(50, dtype=np.int64)
         targets = np.ones(50)
-        with pytest.raises(OptimizationError, match="iteration"):
-            solve_time_step(
-                cells, targets, np.zeros(2), spec,
-                OptimizerSettings(alpha0=1e6, max_iters=2000, patience=2000),
-            )
+        targets[7] = np.inf
+        with pytest.raises(OptimizationError, match="non-finite"):
+            solve_time_step(cells, targets, np.zeros(2), spec, OptimizerSettings())
+
+
+class TestInteriorPoint:
+    @pytest.fixture(scope="class")
+    def default_slices(self):
+        """Slices of one logged source day of the default scenario, warm-started off the optimum."""
+        sc = default_scenario()
+        source = prepare_source(sc, 0.9, seed=0)
+        values = source.v_src.values
+        slices = []
+        for t in (10, 49, 88, 127):
+            cells, targets = td_slice(source.days[0], t, values, 0.9)
+            slices.append((cells, targets, values[t], 0.8 * values[t]))
+        return sc.optimizer_settings(), sc.concordance_spec(source.v_src), slices
+
+    def test_default_scenario_slices_are_certified_optimal(self, default_slices):
+        opt, spec, slices = default_slices
+        for cells, targets, v_src_t, warm in slices:
+            res = solve_time_step(cells, targets, v_src_t, spec, opt, warm_start=warm)
+            assert res.gap <= opt.tol
+            assert res.iterations < opt.max_iters
+            ref = qp_reference(cells, targets, v_src_t, spec)
+            f_ref = penalized_objective(ref, cells, targets, v_src_t, spec)
+            assert res.best_objective == pytest.approx(f_ref, rel=1e-6)
+
+    def test_tol_below_double_precision_stops(self, default_slices):
+        _, spec, slices = default_slices
+        cells, targets, v_src_t, warm = slices[0]
+        opt = OptimizerSettings(max_iters=500, tol=0.0)
+        res = solve_time_step(cells, targets, v_src_t, spec, opt, warm_start=warm)
+        assert res.iterations < 50
+        assert np.all(np.isfinite(res.values))
+        assert 0.0 <= res.gap < 1e-12
+
+    def test_tie_break_keeps_warm_start_on_satisfied_cell_without_data(self):
+        # cell 1 has no data and is coupled to cells 0 and 2; any v1 >= 4 is
+        # optimal, and the tie-break keeps its warm-start value (to within
+        # about gap / TIE_BREAK_RHO, hence the tight tolerance)
+        spec = ConcordanceSpec(pairs=[(0, 1), (2, 1)], lam=1.0, margin=1.0)
+        cells = np.array([0, 0, 2])
+        targets = np.array([1.0, 2.0, 3.0])
+        warm = np.array([5.0, 9.0, 0.0])
+        res = solve_time_step(
+            cells, targets, np.array([0.0, 1.0, 0.5]), spec, OptimizerSettings(tol=1e-12), warm
+        )
+        assert res.iterations > 0
+        np.testing.assert_allclose(res.values, [1.5, 9.0, 3.0], atol=1e-6)
+
+    def test_optimal_warm_start_is_returned_unchanged(self):
+        # cell 0 sits at its target mean and the pair is met: nothing to improve
+        spec = ConcordanceSpec(pairs=[(0, 1)], lam=1.0, margin=1.0)
+        warm = np.array([2.0, 5.0])
+        res = solve_time_step(
+            np.array([0, 0]), np.array([1.0, 3.0]), np.array([0.0, 1.0]), spec,
+            OptimizerSettings(), warm,
+        )
+        assert res.iterations > 0
+        np.testing.assert_array_equal(res.values, warm)
+        assert res.best_objective == 2.0
+
+    def test_certified_gap_on_random_slices(self):
+        rng = np.random.default_rng(13)
+        opt = OptimizerSettings(tol=1e-9)
+        for _ in range(20):
+            n = 6
+            cells = rng.integers(0, n, size=int(rng.integers(0, 12)))
+            targets = rng.normal(scale=3.0, size=len(cells))
+            v_src = rng.normal(size=n)
+            spec = ConcordanceSpec(pairs=all_pairs(n), lam=float(rng.uniform(0.1, 3.0)))
+            res = solve_time_step(cells, targets, v_src, spec, opt, rng.normal(size=n))
+            assert res.gap <= opt.tol
+            ref = qp_reference(cells, targets, v_src, spec)
+            f_ref = penalized_objective(ref, cells, targets, v_src, spec)
+            assert res.best_objective <= f_ref + 1e-6 * max(1.0, f_ref)
 
 
 class TestTransferEvaluate:
@@ -318,7 +384,7 @@ class TestTransferEvaluate:
         tuples = random_buffer(rng, world, 300)
         v_src = ValueTable.zeros(world.horizon, world.n_cells, 0.9)
         spec = ConcordanceSpec(pairs=[(0, 1)], lam=0.0)
-        opt = OptimizerSettings(max_iters=4000, tol=1e-16, patience=4000)
+        opt = OptimizerSettings(max_iters=4000, tol=1e-16)
         got = transfer_evaluate(tuples, v_src, spec, world, 0.9, opt)
         want = dp_evaluate(tuples, world, 0.9)
         assert np.max(np.abs(got.values - want.values)) < 1e-6

@@ -132,6 +132,12 @@ class TestValueTable:
         with pytest.raises(ValueError, match="header"):
             ValueTable.load_csv(path, 0.9)
 
+    def test_csv_rejects_missing_and_repeated_entries(self, tmp_path):
+        path = tmp_path / "gappy.csv"
+        path.write_text("t,cell,value\n0,0,1.0\n0,1,2.0\n0,1,2.0\n1,1,0.0\n")
+        with pytest.raises(ValueError, match="1 missing, 1 repeated"):
+            ValueTable.load_csv(path, 0.9)
+
     def test_binary_round_trip(self, tmp_path):
         vals = np.random.default_rng(4).normal(size=(6, 3))
         vals[-1] = 0.0
