@@ -8,12 +8,11 @@ from typing import Dict, List, Optional, Tuple
 
 import click
 
-from .gpi import PolicyKind, prepare_source, repeat_single_day, run_experiment
+from .gpi import prepare_source, repeat_single_day, run_experiment
 from .reporting import (
     PER_DAY_HEADER,
     REPEAT_HEADER,
     SUMMARY_HEADER,
-    ConfigError,
     ExperimentConfig,
     per_day_rows,
     repeat_rows,
@@ -21,7 +20,6 @@ from .reporting import (
     write_csv,
     write_manifest,
 )
-from .scenario import ScenarioError
 from .transfer import concordance_rate_report
 from .valuation import ValueTable
 from .world import GridWorld
@@ -36,13 +34,33 @@ def _resolve_out(out: Optional[str], name: str) -> str:
     return os.path.join(root, name)
 
 
-def _load_config(path: str, seeds: Optional[str], policies: Tuple[str, ...]) -> ExperimentConfig:
-    cfg = ExperimentConfig.load(path)
-    if seeds:
-        cfg.seeds = [int(s) for s in seeds.split(",") if s.strip() != ""]
+def _load_config(
+    path: str,
+    seeds: Optional[str],
+    policies: Tuple[str, ...],
+    repetitions: Optional[int] = None,
+) -> ExperimentConfig:
+    """The config at `path` with the command-line overrides applied.
+
+    The overrides go into the config dict, which is validated again, so the
+    schema is the one check for the file and the command line alike.
+    """
+    data = ExperimentConfig.load(path).manifest()
+    if seeds is not None:
+        data["seeds"] = [_int_or_text(s) for s in seeds.split(",") if s.strip()]
     if policies:
-        cfg.policies = [PolicyKind(p) for p in policies]
-    return cfg
+        data["policies"] = list(policies)
+    if repetitions is not None:
+        data["repetitions"] = repetitions
+    return ExperimentConfig.from_dict(data)
+
+
+def _int_or_text(text: str):
+    """An integer if `text` reads as one; else the text, for the schema to reject."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _run_group(args) -> Dict[Tuple[str, float, float, int], list]:
@@ -88,12 +106,12 @@ def main():
 @click.option("--out", "out_dir", default=None, type=click.Path())
 @click.option("--seeds", default=None, help="Comma-separated seed override.")
 @click.option("--policy", "policies", multiple=True, help="Restrict to these policies.")
-@click.option("--parallel", default=1, type=int, show_default=True)
+@click.option("--parallel", default=1, type=click.IntRange(min=1), show_default=True)
 def simulate(config_path, out_dir, seeds, policies, parallel):
     """Run the policy x gamma x lambda x seed grid and write metric CSVs."""
     try:
         cfg = _load_config(config_path, seeds, policies)
-    except (ConfigError, ScenarioError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:
         raise click.ClickException(str(e))
     out = _resolve_out(out_dir, cfg.scenario.name)
     results = _run_grid(cfg, parallel, "simulate")
@@ -111,15 +129,13 @@ def simulate(config_path, out_dir, seeds, policies, parallel):
 @click.option("--seeds", default=None, help="Comma-separated seed override.")
 @click.option("--policy", "policies", multiple=True, help="Restrict to these policies.")
 @click.option("--repetitions", default=None, type=int)
-@click.option("--parallel", default=1, type=int, show_default=True)
+@click.option("--parallel", default=1, type=click.IntRange(min=1), show_default=True)
 def repeat_day(config_path, out_dir, seeds, policies, repetitions, parallel):
     """Repeat one day's demand multiple times and track per-iteration learning."""
     try:
-        cfg = _load_config(config_path, seeds, policies)
-    except (ConfigError, ScenarioError, FileNotFoundError) as e:
+        cfg = _load_config(config_path, seeds, policies, repetitions)
+    except (ValueError, FileNotFoundError) as e:
         raise click.ClickException(str(e))
-    if repetitions is not None:
-        cfg.repetitions = repetitions
     out = _resolve_out(out_dir, cfg.scenario.name)
     results = _run_grid(cfg, parallel, "repeat")
     os.makedirs(out, exist_ok=True)
@@ -180,7 +196,7 @@ def validate_config(config_path):
         cfg.scenario.build_world()
         cfg.scenario.build_source_model()
         cfg.scenario.build_target_model()
-    except (ConfigError, ScenarioError, ValueError) as e:
+    except ValueError as e:
         raise click.ClickException(str(e))
     click.echo(f"ok: scenario '{cfg.scenario.name}', {len(cfg.policies)} policies")
 

@@ -2,11 +2,10 @@
 
 Scores are long-term Q-values read from a value table (or instant rewards for
 the myopic baseline); the assignment itself is solved exactly as a maximum
-weight bipartite matching with a per-driver null option.
+weight bipartite matching on each pair's gain over staying idle.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -15,8 +14,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .valuation import ValueTable
 from .world import DriverBatch, GridWorld, OrderBatch
-
-NEG_INF = -np.inf
 
 
 @dataclass
@@ -48,36 +45,6 @@ class MatchProblem:
         if self.row_offsets is None:
             self.row_offsets = np.zeros(m)
 
-    def to_json(self) -> str:
-        d, o = self.drivers, self.orders
-        return json.dumps(
-            {
-                "drivers": [
-                    {"driver_id": i, "t": d.t, "cell": c}
-                    for i, c in zip(d.driver_id.tolist(), d.cell.tolist())
-                ],
-                "orders": [
-                    {
-                        "origin": a,
-                        "destination": b,
-                        "revenue": r,
-                        "duration": k,
-                        "created_at": o.t,
-                    }
-                    for a, b, r, k in zip(
-                        o.origin.tolist(),
-                        o.destination.tolist(),
-                        o.revenue.tolist(),
-                        o.duration.tolist(),
-                    )
-                ],
-                "scores": self.scores.tolist(),
-                "feasible": self.feasible.tolist(),
-                "row_offsets": self.row_offsets.tolist(),
-            },
-            indent=2,
-        )
-
 
 @dataclass
 class MatchResult:
@@ -85,9 +52,6 @@ class MatchResult:
 
     assignment: List[Optional[int]]
     objective: float
-
-    def to_json(self) -> str:
-        return json.dumps({"assignment": self.assignment, "objective": self.objective})
 
 
 def discount_powers(gamma: float, n: int) -> np.ndarray:
@@ -166,23 +130,26 @@ def advantage_transform(p: MatchProblem) -> MatchProblem:
 def km_match(p: MatchProblem) -> MatchResult:
     """Exact maximum-score assignment with per-driver null options.
 
-    The null column is expanded into per-driver diagonal entries so the
-    rectangular problem is solved in one shot; masked pairs can never be
-    selected.
+    Solved as one assignment on the m x n gain matrix
+    G[l, k] = max(scores[l, k + 1] - scores[l, 0], 0), masked pairs 0.
+    Every assignment scores sum_l scores[l, 0] plus the gains of its served
+    pairs. Idling is always feasible, so a served pair with gain <= 0 can be
+    dropped without lowering that total: a maximum-weight matching on G,
+    minus its non-positive pairs, is an optimum of the original problem.
+
+    Ties: a pair whose gain is exactly 0 is left idle. Among assignments
+    with equal objective, the result is the one `linear_sum_assignment`
+    returns on G, with drivers in batch order.
     """
     m, n = len(p.drivers), len(p.orders)
-    assignment: List[Optional[int]] = [None] * m
-    if m == 0:
-        return MatchResult(assignment, 0.0)
-    cost = np.full((m, n + m), NEG_INF)
-    order_scores = np.where(p.feasible[:, 1:], p.scores[:, 1:], NEG_INF)
-    cost[:, :n] = order_scores
-    cost[np.arange(m), n + np.arange(m)] = p.scores[:, 0]
-    rows, cols = linear_sum_assignment(cost, maximize=True)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        assignment[r] = c if c < n else None
-    chosen = p.scores[np.arange(m), [0 if k is None else k + 1 for k in assignment]]
+    choice = np.zeros(m, dtype=np.int64)  # column of p.scores, 0 = idle
+    if m and n:
+        gain = np.where(p.feasible[:, 1:], p.scores[:, 1:] - p.scores[:, :1], 0.0)
+        np.maximum(gain, 0.0, out=gain)
+        rows, cols = linear_sum_assignment(gain, maximize=True)
+        served = gain[rows, cols] > 0.0
+        choice[rows[served]] = cols[served] + 1
     objective = 0.0
-    for value in chosen.tolist():
+    for value in p.scores[np.arange(m), choice].tolist():
         objective += value
-    return MatchResult(assignment, objective)
+    return MatchResult([int(c) - 1 if c else None for c in choice.tolist()], objective)

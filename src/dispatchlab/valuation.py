@@ -110,14 +110,6 @@ class ValueTable:
         values[t, cell] = value
         return cls(values, gamma)
 
-    def save_binary(self, path) -> None:
-        np.savez(path, values=self.values, gamma=np.float64(self.gamma))
-
-    @classmethod
-    def load_binary(cls, path) -> "ValueTable":
-        with np.load(path) as data:
-            return cls(data["values"], float(data["gamma"]))
-
 
 class TupleArrays:
     """Columnar view of a transition buffer, presorted by start time."""

@@ -109,6 +109,31 @@ def brute_force_match(problem):
     return best[0], best[1]
 
 
+def null_expansion_match(problem):
+    """Exact matching as an m x (n + m) assignment; returns (objective, assignment).
+
+    One column per order plus an m x m block whose diagonal is each driver's
+    null score; every other cell of that block, and every masked pair, is
+    -inf. An oracle independent of the gain-matrix reduction in `km_match`.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    m, n = len(problem.drivers), len(problem.orders)
+    if m == 0:
+        return 0.0, []
+    cost = np.full((m, n + m), -np.inf)
+    cost[:, :n] = np.where(problem.feasible[:, 1:], problem.scores[:, 1:], -np.inf)
+    cost[np.arange(m), n + np.arange(m)] = problem.scores[:, 0]
+    rows, cols = linear_sum_assignment(cost, maximize=True)
+    assignment = [None] * m
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        assignment[r] = c if c < n else None
+    objective = 0.0
+    for l, k in enumerate(assignment):
+        objective += float(problem.scores[l, 0 if k is None else k + 1])
+    return objective, assignment
+
+
 def qp_reference(cells, targets, v_src_t, spec):
     """Minimizer of the penalized slice objective from scipy's bundled HiGHS.
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -303,6 +304,36 @@ class TestFailedGrid:
             result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)])
             assert isinstance(result.exception, RuntimeError)
             assert not out.exists()
+
+
+class TestBadOverrides:
+    """Command-line overrides go through the config schema: a clean error naming
+    the field, no traceback and no output folder."""
+
+    @pytest.mark.parametrize(
+        "command, args, field",
+        [
+            ("simulate", ["--seeds", "a"], "seeds/0"),
+            ("simulate", ["--seeds", ","], "'seeds'"),
+            ("simulate", ["--policy", "bogus"], "policies/0"),
+            ("repeat-day", ["--seeds", "1,b"], "seeds/1"),
+            ("repeat-day", ["--policy", "greedy", "--policy", "bogus"], "policies/1"),
+            ("repeat-day", ["--repetitions", "0"], "'repetitions'"),
+            ("simulate", ["--parallel", "0"], "--parallel"),
+            ("repeat-day", ["--parallel", "0"], "--parallel"),
+        ],
+    )
+    def test_bad_override_fails_cleanly(self, tmp_path, command, args, field):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfg), "--out", str(out)] + args
+        )
+        assert result.exit_code != 0
+        assert field in result.output
+        assert "Traceback" not in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
 
 
 class TestValidateConfig:

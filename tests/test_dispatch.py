@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,17 @@ from dispatchlab import (
     discounted_reward,
     km_match,
 )
+from dispatchlab import gpi
+from dispatchlab.scenario import Scenario, default_scenario
+from dispatchlab.simulator import run_day
 
-from conftest import brute_force_match, driver_batch, make_world, order_batch
+from conftest import (
+    brute_force_match,
+    driver_batch,
+    make_world,
+    null_expansion_match,
+    order_batch,
+)
 
 
 def problem_from_scores(scores, feasible=None):
@@ -56,14 +67,6 @@ class TestMatchProblem:
             MatchProblem(
                 driver_batch([DriverSlot(0, State(0, 0))]), order_batch([]), np.zeros((1, 1)), feas
             )
-
-    def test_json_round_trips_through_loads(self):
-        import json
-
-        p = problem_from_scores([[0.0, 2.0]])
-        data = json.loads(p.to_json())
-        assert data["scores"] == [[0.0, 2.0]]
-        assert data["drivers"][0]["driver_id"] == 0
 
 
 class TestBuildProblem:
@@ -213,6 +216,113 @@ class TestKmMatch:
         for _ in range(5):
             again = km_match(p)
             assert again.assignment == first.assignment
+
+
+def tied_problem(rng, m, n, duplicate_rows=False, masked_orders=0):
+    """Integer scores in [-2, 3]: ties everywhere, and every sum is exact."""
+    scores = rng.integers(-2, 4, size=(m, n + 1)).astype(float)
+    feasible = rng.random((m, n + 1)) < 0.8
+    feasible[:, 0] = True
+    if duplicate_rows and m > 1:
+        copies = rng.integers(0, m, size=m // 2)
+        scores[1 : 1 + len(copies)] = scores[copies]
+        feasible[1 : 1 + len(copies)] = feasible[copies]
+    if n:
+        feasible[:, 1 + rng.choice(n, size=min(masked_orders, n), replace=False)] = False
+    return problem_from_scores(scores, feasible)
+
+
+def assert_feasible_one_to_one(p, assignment):
+    assert len(assignment) == len(p.drivers)
+    served = [k for k in assignment if k is not None]
+    assert len(served) == len(set(served))
+    for l, k in enumerate(assignment):
+        if k is not None:
+            assert 0 <= k < len(p.orders)
+            assert p.feasible[l, k + 1]
+
+
+class TestKmMatchTies:
+    """km_match solves the m x n gain matrix; the null expansion is the oracle."""
+
+    @pytest.mark.parametrize("duplicate_rows", [False, True])
+    def test_small_tied_problems_equal_brute_force(self, duplicate_rows):
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(0, 6))
+            p = tied_problem(rng, m, n, duplicate_rows, masked_orders=int(rng.integers(0, 2)))
+            res = km_match(p)
+            assert_feasible_one_to_one(p, res.assignment)
+            assert res.objective == brute_force_match(p)[0]
+
+    @pytest.mark.parametrize(
+        "m, n", [(40, 40), (120, 6), (200, 26), (6, 120), (1, 50), (50, 1), (30, 0)]
+    )
+    def test_larger_tied_problems_equal_null_expansion(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        for duplicate_rows in (False, True):
+            for masked in (0, n // 3):
+                p = tied_problem(rng, m, n, duplicate_rows, masked_orders=masked)
+                res = km_match(p)
+                assert_feasible_one_to_one(p, res.assignment)
+                assert res.objective == null_expansion_match(p)[0]
+
+    def test_orders_masked_for_every_driver_stay_open(self):
+        rng = np.random.default_rng(29)
+        p = tied_problem(rng, 8, 5)
+        p.feasible[:, [2, 4]] = False
+        res = km_match(p)
+        assert 1 not in res.assignment and 3 not in res.assignment
+        assert res.objective == null_expansion_match(p)[0]
+
+    def test_zero_gain_pair_leaves_driver_idle(self):
+        res = km_match(problem_from_scores([[2.0, 2.0]]))
+        assert res.assignment == [None]
+        assert res.objective == 2.0
+        # driver 0 gains exactly 0 on either order; only driver 1 is served
+        res = km_match(problem_from_scores([[1.0, 1.0, 1.0], [0.0, 0.0, 5.0]]))
+        assert res.assignment == [None, 1]
+        assert res.objective == 6.0
+
+    def test_negative_gain_pair_leaves_driver_idle(self):
+        res = km_match(problem_from_scores([[0.0, -1.0, -0.5], [3.0, 2.0, 1.0]]))
+        assert res.assignment == [None, None]
+        assert res.objective == 3.0
+
+
+def captured_windows(monkeypatch, drivers=None):
+    """Every MatchProblem solved while preparing the source (myopic scores)
+    and during one target day dispatched on the source table (value scores)."""
+    sc = default_scenario()
+    if drivers is not None:
+        raw = copy.deepcopy(sc.raw)
+        raw["drivers"] = drivers
+        sc = Scenario.from_dict(raw)
+    problems = []
+
+    def recording(p):
+        problems.append(p)
+        return km_match(p)
+
+    monkeypatch.setattr(gpi, "km_match", recording)
+    source = gpi.prepare_source(sc, 0.9, 0)
+    world = sc.build_world()
+    policy = gpi.value_dispatch_policy(source.v_src, 0.9, world, sc.pickup_radius)
+    run_day(world, sc.build_target_model(), policy, 0.9, sc.seed, phase=gpi.PHASE_TARGET)
+    return problems
+
+
+@pytest.mark.parametrize("drivers", [None, 300], ids=["default", "drivers300"])
+def test_captured_windows_match_null_expansion(monkeypatch, drivers):
+    problems = captured_windows(monkeypatch, drivers)
+    assert len(problems) > 500
+    # value-policy windows arrive advantage-transformed, their null values in row_offsets
+    assert any(np.any(p.row_offsets != 0.0) for p in problems)
+    for p in problems:
+        res = km_match(p)
+        assert_feasible_one_to_one(p, res.assignment)
+        oracle, _ = null_expansion_match(p)
+        assert abs(res.objective - oracle) <= 1e-12 * max(abs(oracle), 1e-300)
 
 
 class TestGreedyScores:

@@ -138,16 +138,6 @@ class TestValueTable:
         with pytest.raises(ValueError, match="1 missing, 1 repeated"):
             ValueTable.load_csv(path, 0.9)
 
-    def test_binary_round_trip(self, tmp_path):
-        vals = np.random.default_rng(4).normal(size=(6, 3))
-        vals[-1] = 0.0
-        table = ValueTable(vals, 0.95)
-        path = tmp_path / "table.npz"
-        table.save_binary(path)
-        loaded = ValueTable.load_binary(path)
-        assert np.array_equal(loaded.values, table.values)
-        assert loaded.gamma == table.gamma
-
 
 class TestTupleArrays:
     def test_slice_at_groups_by_start_time(self):
