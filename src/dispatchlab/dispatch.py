@@ -76,6 +76,10 @@ def build_problem(
 
     A pair is infeasible when the pickup travel exceeds the radius limit or
     when service could not start before the end of the day.
+
+    A pair's score and feasibility depend on the driver only through its
+    cell, so each distinct idle-driver cell is scored once and its row is
+    copied to every driver waiting there.
     """
     m, n = len(drivers), len(orders)
     T = value.horizon
@@ -84,11 +88,14 @@ def build_problem(
     feasible = np.ones((m, n + 1), dtype=bool)
     if m == 0:
         return MatchProblem(drivers, orders, scores, feasible)
-    cells = drivers.cell
-    scores[:, 0] = value.values[t, cells]
+    scores[:, 0] = value.values[t, drivers.cell]
     if n == 0:
         return MatchProblem(drivers, orders, scores, feasible)
 
+    waiting = np.zeros(world.n_cells, dtype=bool)
+    waiting[drivers.cell] = True
+    cells = waiting.nonzero()[0]
+    row_of = (np.cumsum(waiting) - 1).take(drivers.cell)  # driver -> row of its cell
     durations = orders.duration
     pickup = world.pickup_matrix.take(cells, 0).take(orders.origin, 1)
     total = pickup + durations
@@ -103,11 +110,12 @@ def build_problem(
     else:
         r = powers.take(pickup) * per_step * (1.0 - powers.take(paid)) / (1.0 - gamma)
     continuation = value.values.take(finish_t * value.n_cells + orders.destination)
-    scores[:, 1:] = powers.take(total) * continuation + r
+    scores[:, 1:] = (powers.take(total) * continuation + r).take(row_of, 0)
 
-    feasible[:, 1:] = pickup < T - t
+    ok = pickup < T - t
     if radius is not None:
-        feasible[:, 1:] &= pickup <= radius
+        ok &= pickup <= radius
+    feasible[:, 1:] = ok.take(row_of, 0)
     return MatchProblem(drivers, orders, scores, feasible)
 
 

@@ -37,7 +37,12 @@ CONFIG_SCHEMA = {
             "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         },
         "lambdas": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
-        "seeds": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
+        "seeds": {
+            "type": "array",
+            "minItems": 1,
+            "uniqueItems": True,
+            "items": {"type": "integer", "minimum": 0},
+        },
         "days": {"type": "integer", "minimum": 0},
         "repetitions": {"type": "integer", "minimum": 1},
     },

@@ -23,7 +23,7 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "name": {"type": "string"},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "grid": {
             "type": "object",
             "required": ["rows", "cols"],

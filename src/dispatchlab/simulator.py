@@ -12,7 +12,7 @@ a `TupleArrays` buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,8 +65,123 @@ class DriverPool:
 
 
 def window_rng(seed: int, phase: int, day: int, t: int, stream: int = 0) -> np.random.Generator:
-    """Dedicated RNG stream per dispatch window (and sub-stream)."""
+    """Dedicated RNG stream per dispatch window (and sub-stream).
+
+    This defines the streams; `DayStreams` derives the same generator states
+    for a whole day at once.
+    """
     return np.random.default_rng(np.random.SeedSequence((seed, phase, day, t, stream)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# seeding step (pcg64.h), for DayStreams. All SeedSequence arithmetic is on
+# uint32 words.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> List[int]:
+    """An entropy integer as SeedSequence splits it: little-endian 32-bit words."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence_pools(entropy: np.ndarray) -> List[np.ndarray]:
+    """SeedSequence(column).pool for every column of a (words, N) uint32 array.
+
+    Every column has at least _POOL_SIZE words, so none is padded with zeros.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    mixer = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+    for i_src in range(_POOL_SIZE, len(entropy)):
+        for i_dst in range(_POOL_SIZE):
+            mixer[i_dst] = mix(mixer[i_dst], hashmix(entropy[i_src]))
+    return mixer
+
+
+def _pcg64_states(pools: List[np.ndarray]) -> List[dict]:
+    """PCG64(SeedSequence).state for each column of SeedSequence pools.
+
+    PCG64 seeds from generate_state(4, uint64): eight hashed 32-bit words,
+    cycling through the pool, read as four little-endian 64-bit words
+    (state high, state low, increment high, increment low).
+    """
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pools[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).tolist())
+    states = []
+    for w in zip(*words):
+        seed = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
+        inc = (((w[5] << 96) | (w[4] << 64) | (w[7] << 32) | w[6]) << 1 | 1) & _MASK128
+        # pcg64_srandom_r: step from 0, add the seed, step again
+        state = ((inc + seed) * _PCG_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
+
+
+class DayStreams:
+    """The `window_rng` streams of every window of one day, from one Generator.
+
+    The PCG64 states of both streams of all `n_windows` windows are derived
+    in one vectorised pass of SeedSequence's hash; `rng` then resets a
+    single reused Generator to the state `window_rng` would start from. The
+    draws are the same, bit for bit. The returned Generator is the same
+    object on every call, so a stream is used up before the next is asked for.
+    """
+
+    def __init__(self, seed: int, phase: int, day: int, n_windows: int):
+        head = _uint32_words(seed) + _uint32_words(phase) + _uint32_words(day)
+        # one column per (stream, t), stream-major: entropy (seed, phase, day, t, stream)
+        entropy = np.empty((len(head) + 2, 2 * n_windows), dtype=np.uint32)
+        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+        entropy[len(head)] = np.tile(np.arange(n_windows), 2)
+        entropy[len(head) + 1] = np.repeat([0, 1], n_windows)
+        self._states = _pcg64_states(_seed_sequence_pools(entropy))
+        self._n = n_windows
+        self._rng = np.random.Generator(np.random.PCG64(0))
+
+    def rng(self, t: int, stream: int = 0) -> np.random.Generator:
+        """The Generator, set to where `window_rng(..., t, stream)` starts."""
+        self._rng.bit_generator.state = self._states[stream * self._n + t]
+        return self._rng
 
 
 def generate_window(
@@ -190,11 +305,11 @@ def run_day(
     completion probability.
     """
     pool = DriverPool(model.driver_counts)
+    streams = DayStreams(seed, phase, day, world.horizon)
     metrics = DayMetrics()
     parts = []
     for t in range(world.horizon):
-        rng = window_rng(seed, phase, day, t)
-        orders, drivers = generate_window(model, world, t, rng, pool)
+        orders, drivers = generate_window(model, world, t, streams.rng(t), pool)
         metrics.orders_created += len(orders)
         if not len(drivers):
             continue
@@ -202,7 +317,7 @@ def run_day(
         serve = (k >= 0).nonzero()[0]
         if serve.size:
             metrics.orders_answered += serve.size
-            cancel_u = window_rng(seed, phase, day, t, stream=1).random(max(1, len(orders)))
+            cancel_u = streams.rng(t, stream=1).random(max(1, len(orders)))
             pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[k[serve]]]
             p_complete = np.minimum(1.0, np.maximum(0.0, 1.0 - model.cancellation * pickup))
             done = cancel_u[k[serve]] < p_complete

@@ -256,11 +256,16 @@ def solve_time_step(
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest step in (0, 1] that keeps x + step * dx nonnegative."""
-    neg = dx < 0
-    return float(np.min(-x[neg] / dx[neg], initial=1.0))
+    """Largest step in (0, 1] that keeps x + step * dx nonnegative.
+
+    -max(x / dx) over dx < 0 equals min(-x / dx) there bit for bit (IEEE
+    division is exact up to sign), without gathering the negative entries.
+    Divisions by zero are masked out; the caller silences their warnings.
+    """
+    return -float(np.maximum.reduce(x / dx, where=dx < 0, initial=-1.0))
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # entered once per solve, for _max_step
 def _hinge_qp(
     li: np.ndarray,
     lj: np.ndarray,
@@ -286,37 +291,46 @@ def _hinge_qp(
     sum_c (u_c^2 / (4 d_c) + a_c u_c) with u = A^T y, so g(x) - max D is a
     certified duality gap. Returns the iterate of lowest g, g there, the best
     dual bound, g after each iteration, and the iteration count.
+
+    A slice has at most a few hundred pairs, so the cost is per numpy call,
+    not per element. The loop makes as few calls as it can without changing
+    a floating-point operation: tests/reference_hinge_qp.py keeps the plain
+    form, and both must agree bit for bit.
     """
     p, k = len(s), len(d)
     rows = np.arange(p)
     A = np.zeros((p, k))
     A[rows, lj] = s
     A[rows, li] = -s
+    At = A.T
     # flat positions of the (i,i), (j,j), (i,j), (j,i) entries of the normal matrix
     flat = np.concatenate([li * (k + 1), lj * (k + 1), li * k + lj, lj * k + li])
-    signs = np.repeat([1.0, 1.0, -1.0, -1.0], p)
     diag = np.arange(k) * (k + 1)
+    d2, d4 = 2.0 * d, 4.0 * d
 
     x = a
     Ax = A @ x
     xi = np.maximum(margin - Ax, 0.0) + margin
     # the state: slacks X = (w, xi) and their multipliers Y = (y, z)
     state = np.concatenate([Ax + xi - margin, xi, np.full(2 * p, lam / 2.0)])
+    X, Y = state[: 2 * p], state[2 * p :]
+    w, xi = X[:p], X[p:]
+    y, z = Y[:p], Y[p:]
     best_x, best_g, dual, best_gap = x, math.inf, -math.inf, math.inf
     objs: List[float] = []
     iters = stalls = 0
     while iters < opt.max_iters:
         iters += 1
-        X, Y = state[: 2 * p], state[2 * p :]
-        y, z = Y[:p], Y[p:]
-        r_dual = 2.0 * d * (x - a) - A.T @ y
+        r_dual = d2 * (x - a) - At @ y
         r_box = lam - y - z
-        r_primal = Ax + X[p:] - X[:p] - margin
+        r_primal = Ax + xi - w - margin
         XY = X * Y
         ratio = X / Y
         inv_theta = 1.0 / (ratio[:p] + ratio[p:])
-        normal = np.bincount(flat, np.tile(inv_theta, 4) * signs, k * k)
-        normal[diag] += 2.0 * d
+        normal = np.bincount(
+            flat, np.concatenate([inv_theta, inv_theta, -inv_theta, -inv_theta]), k * k
+        )
+        normal[diag] += d2
         factor, info = dpotrf(normal.reshape(k, k))
         if info != 0:
             break  # the normal matrix is no longer positive definite in double precision
@@ -325,7 +339,7 @@ def _hinge_qp(
         def newton(rc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             # rc is the complementarity residual X * Y - target
             rhs = base + rc[p:] / z - rc[:p] / y
-            dx = dpotrs(factor, A.T @ (rhs * inv_theta) - r_dual)[0]
+            dx = dpotrs(factor, At @ (rhs * inv_theta) - r_dual)[0]
             dy = (rhs - A @ dx) * inv_theta
             dY = np.concatenate([dy, r_box - dy])
             return dx, np.concatenate([-(rc + X * dY) / Y, dY])
@@ -333,8 +347,8 @@ def _hinge_qp(
         dx, dstate = newton(XY)
         step = _max_step(state, dstate)
         trial = state + step * dstate
-        mu = XY.mean()
-        sigma = (np.mean(trial[: 2 * p] * trial[2 * p :]) / mu) ** 3
+        mu = XY.sum() / (2 * p)
+        sigma = ((trial[: 2 * p] * trial[2 * p :]).sum() / (2 * p) / mu) ** 3
         dX, dY = dstate[: 2 * p], dstate[2 * p :]
         dx, dstate = newton(XY + dX * dY - sigma * mu)
         step = min(1.0, 0.99 * _max_step(state, dstate))
@@ -342,9 +356,9 @@ def _hinge_qp(
         state += step * dstate
         Ax = A @ x
 
-        y_box = np.clip(state[2 * p : 3 * p], 0.0, lam)
-        u = A.T @ y_box
-        dual = max(dual, margin * float(y_box.sum()) - float(u @ (u / (4.0 * d) + a)))
+        y_box = np.minimum(np.maximum(y, 0.0), lam)
+        u = At @ y_box
+        dual = max(dual, margin * float(y_box.sum()) - float(u @ (u / d4 + a)))
         g = float(d @ (x - a) ** 2) + lam * float(np.maximum(0.0, margin - Ax).sum())
         objs.append(g)
         if g < best_g:

@@ -321,6 +321,9 @@ class TestBadOverrides:
             ("repeat-day", ["--repetitions", "0"], "'repetitions'"),
             ("simulate", ["--parallel", "0"], "--parallel"),
             ("repeat-day", ["--parallel", "0"], "--parallel"),
+            ("simulate", ["--seeds=-5"], "seeds/0"),
+            ("simulate", ["--seeds", "1,1"], "'seeds'"),
+            ("repeat-day", ["--seeds", "3,-1"], "seeds/1"),
         ],
     )
     def test_bad_override_fails_cleanly(self, tmp_path, command, args, field):

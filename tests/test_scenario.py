@@ -38,6 +38,11 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="extra"):
             Scenario.from_dict(minimal_raw(extra=1))
 
+    def test_negative_seed_rejected(self):
+        # a window's RNG entropy is scenario seed + run seed, and must be >= 0
+        with pytest.raises(ScenarioError, match="'seed'"):
+            Scenario.from_dict(minimal_raw(seed=-1))
+
     def test_error_message_carries_path(self):
         raw = minimal_raw()
         raw["grid"]["cols"] = 1

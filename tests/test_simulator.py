@@ -14,7 +14,7 @@ from dispatchlab import (
     generate_window,
     run_day,
 )
-from dispatchlab.simulator import window_rng
+from dispatchlab.simulator import DayStreams, window_rng
 
 ORDER_COLUMNS = ("origin", "destination", "revenue", "duration")
 TUPLE_COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
@@ -116,6 +116,32 @@ class TestGenerateWindow:
         assert same_columns(orders, OrderBatch.from_requests(scripted[2], 2), ORDER_COLUMNS)
         orders, _ = generate_window(model, world, 3, window_rng(0, 0, 0, 3))
         assert len(orders) == 0
+
+
+class TestDayStreams:
+    """DayStreams must start every window's streams where window_rng does."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 7])
+    def test_matches_window_rng_bit_for_bit(self, seed):
+        # 2**32 and 2**40 + 7 take two entropy words, so SeedSequence mixes
+        # one more word than for the one-word seeds
+        n_windows = 144
+        for phase in (0, 1):
+            for day in (0, 1, 9):
+                streams = DayStreams(seed, phase, day, n_windows)
+                for t in range(n_windows):
+                    for stream in (0, 1):
+                        ref = window_rng(seed, phase, day, t, stream)
+                        rng = streams.rng(t, stream)
+                        assert rng.bit_generator.state == ref.bit_generator.state
+                        np.testing.assert_array_equal(rng.random(3), ref.random(3))
+                        assert rng.poisson(2.5, 4).tolist() == ref.poisson(2.5, 4).tolist()
+
+    def test_negative_seed_raises_like_window_rng(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            window_rng(-1, 0, 0, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            DayStreams(-1, 0, 0, 4)
 
 
 class TestApplyMatching:

@@ -24,10 +24,12 @@ from dispatchlab import (
     td_evaluate,
     transfer_evaluate,
 )
+from dispatchlab import transfer
 from dispatchlab.scenario import default_scenario
 from dispatchlab.transfer import td_slice
 from dispatchlab.valuation import TupleArrays
 
+import reference_hinge_qp
 from conftest import grid_search_oracle, make_world, qp_reference, random_buffer
 
 
@@ -325,6 +327,27 @@ class TestInteriorPoint:
             ref = qp_reference(cells, targets, v_src_t, spec)
             f_ref = penalized_objective(ref, cells, targets, v_src_t, spec)
             assert res.best_objective == pytest.approx(f_ref, rel=1e-6)
+
+    def test_kernel_matches_reference_bit_for_bit(self, default_slices, monkeypatch):
+        opt, spec, slices = default_slices
+        cases = [(cells, targets, v_src, spec, opt, warm) for cells, targets, v_src, warm in slices]
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            cells = rng.integers(0, n, size=int(rng.integers(0, 15)))
+            spec_r = ConcordanceSpec(pairs=all_pairs(n), lam=float(rng.uniform(0.1, 3.0)))
+            opt_r = OptimizerSettings(tol=float(rng.choice([0.0, 1e-9, 1e-5])))
+            targets = rng.normal(scale=3.0, size=len(cells))
+            cases.append((cells, targets, rng.normal(size=n), spec_r, opt_r, rng.normal(size=n)))
+        new = [solve_time_step(*case) for case in cases]
+        monkeypatch.setattr(transfer, "_hinge_qp", reference_hinge_qp.hinge_qp)
+        old = [solve_time_step(*case) for case in cases]
+        assert sum(r.iterations for r in old) > len(cases)
+        for a, b in zip(new, old):
+            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.trace, b.trace)
+            assert (a.iterations, a.gap) == (b.iterations, b.gap)
+            assert a.best_objective == b.best_objective
 
     def test_tol_below_double_precision_stops(self, default_slices):
         _, spec, slices = default_slices
