@@ -7,16 +7,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dispatch import advantage_transform, build_problem, km_match
 from .scenario import Scenario
-from .simulator import Policy, run_day
+from .simulator import DayMetrics, Policy, run_day
 from .transfer import ConcordanceSpec, OptimizerSettings, transfer_evaluate
 from .valuation import TupleArrays, ValueTable, dp_evaluate
-from .world import DemandModel, GridWorld
+from .world import GridWorld
 
 PHASE_SOURCE = 0
 PHASE_TARGET = 1
@@ -124,14 +124,9 @@ def value_dispatch_policy(
 
 
 def myopic_policy(gamma: float, world: GridWorld, horizon: int, radius: Optional[int]) -> Policy:
-    """Exact matching on instant discounted rewards: scores from an all-zero table."""
+    """Exact matching on instant discounted rewards: the value policy of an all-zero table."""
     zero = ValueTable.zeros(horizon, world.n_cells, gamma)
-
-    def policy(drivers, orders, t):
-        problem = build_problem(drivers, orders, zero, gamma, world, radius)
-        return km_match(problem).assignment
-
-    return policy
+    return value_dispatch_policy(zero, gamma, world, radius)
 
 
 @dataclass
@@ -174,20 +169,23 @@ class DayRow:
     orders_completed: int
 
 
-def run_experiment(
+def _gpi_passes(
     scenario: Scenario,
     kind: PolicyKind,
-    days: int,
+    schedule: Sequence[int],
     gamma: float,
     seed: int,
-    lam: Optional[float] = None,
-    opt: Optional[OptimizerSettings] = None,
-    source: Optional[SourceData] = None,
-) -> List[DayRow]:
-    """GPI over `days` target days: evaluate, dispatch all day, absorb the data.
+    lam: Optional[float],
+    opt: Optional[OptimizerSettings],
+    source: Optional[SourceData],
+) -> Iterator[Tuple[DayMetrics, ValueTable, Optional[ValueTable]]]:
+    """GPI over the target days in `schedule`: evaluate, dispatch the day, absorb the data.
 
-    Demand realizations depend only on (scenario seed, seed, day, window), so
-    different policies run against identical order streams.
+    Yields each pass's day metrics, the table it dispatched with and the
+    table of the pass before (None on the first). The source_only table is
+    fitted once and then frozen. Demand realizations depend only on
+    (scenario seed, seed, day, window), so different policies run against
+    identical order streams.
     """
     world = scenario.build_world()
     target_model = scenario.build_target_model()
@@ -200,37 +198,47 @@ def run_experiment(
     )
     opt = opt or scenario.optimizer_settings()
     buffer = Buffer(source_days=list(source.days))
-    radius = scenario.pickup_radius
-    rows: List[DayRow] = []
     prev: Optional[ValueTable] = None
-    for day in range(days):
+    for day in schedule:
         if kind is PolicyKind.SOURCE_ONLY and prev is not None:
             value = prev
         else:
             value = evaluate_policy_value(
                 kind, buffer, source.v_src, spec, world, gamma, opt=opt, prev=prev
             )
-        if kind is PolicyKind.GREEDY:
-            policy = myopic_policy(gamma, world, world.horizon, radius)
-        else:
-            policy = value_dispatch_policy(value, gamma, world, radius)
+        policy = value_dispatch_policy(value, gamma, world, scenario.pickup_radius)
         tuples, metrics = run_day(
             world, target_model, policy, gamma, scenario.seed + seed, phase=PHASE_TARGET, day=day
         )
         buffer.add_target_day(tuples)
-        rows.append(
-            DayRow(
-                day=day,
-                reward=metrics.reward,
-                answer_rate=metrics.answer_rate,
-                completion_rate=metrics.completion_rate,
-                orders_created=metrics.orders_created,
-                orders_answered=metrics.orders_answered,
-                orders_completed=metrics.orders_completed,
-            )
-        )
+        yield metrics, value, prev
         prev = value
-    return rows
+
+
+def run_experiment(
+    scenario: Scenario,
+    kind: PolicyKind,
+    days: int,
+    gamma: float,
+    seed: int,
+    lam: Optional[float] = None,
+    opt: Optional[OptimizerSettings] = None,
+    source: Optional[SourceData] = None,
+) -> List[DayRow]:
+    """GPI over target days 0 .. days - 1, one row per day."""
+    passes = _gpi_passes(scenario, kind, range(days), gamma, seed, lam, opt, source)
+    return [
+        DayRow(
+            day=day,
+            reward=metrics.reward,
+            answer_rate=metrics.answer_rate,
+            completion_rate=metrics.completion_rate,
+            orders_created=metrics.orders_created,
+            orders_answered=metrics.orders_answered,
+            orders_completed=metrics.orders_completed,
+        )
+        for day, (metrics, _, _) in enumerate(passes)
+    ]
 
 
 @dataclass
@@ -250,45 +258,21 @@ def repeat_single_day(
     opt: Optional[OptimizerSettings] = None,
     source: Optional[SourceData] = None,
 ) -> List[RepeatRow]:
-    """Re-run one day's demand repeatedly, updating the value table between passes.
+    """GPI over target day 0, `repetitions` times, updating the value table between passes.
 
     value_delta is the sup-norm change of the table against the previous
     iteration's table.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    world = scenario.build_world()
-    target_model = scenario.build_target_model()
-    if source is None:
-        source = prepare_source(scenario, gamma, seed)
-    spec = ConcordanceSpec(
-        pairs=source.pairs,
-        lam=scenario.lam if lam is None else lam,
-        margin=scenario.margin,
-    )
-    opt = opt or scenario.optimizer_settings()
-    buffer = Buffer(source_days=list(source.days))
-    radius = scenario.pickup_radius
-    rows: List[RepeatRow] = []
-    prev: Optional[ValueTable] = None
-    for it in range(repetitions):
-        if kind is PolicyKind.SOURCE_ONLY and prev is not None:
-            value = prev
-        else:
-            value = evaluate_policy_value(
-                kind, buffer, source.v_src, spec, world, gamma, opt=opt, prev=prev
-            )
-        if kind is PolicyKind.GREEDY:
-            policy = myopic_policy(gamma, world, world.horizon, radius)
-        else:
-            policy = value_dispatch_policy(value, gamma, world, radius)
-        tuples, metrics = run_day(
-            world, target_model, policy, gamma, scenario.seed + seed, phase=PHASE_TARGET, day=0
+    passes = _gpi_passes(scenario, kind, [0] * repetitions, gamma, seed, lam, opt, source)
+    return [
+        RepeatRow(
+            iteration=it,
+            reward=metrics.reward,
+            value_delta=(
+                float("inf") if prev is None else float(np.max(np.abs(value.values - prev.values)))
+            ),
         )
-        buffer.add_target_day(tuples)
-        delta = (
-            float(np.max(np.abs(value.values - prev.values))) if prev is not None else float("inf")
-        )
-        rows.append(RepeatRow(iteration=it, reward=metrics.reward, value_delta=delta))
-        prev = value
-    return rows
+        for it, (metrics, value, prev) in enumerate(passes)
+    ]

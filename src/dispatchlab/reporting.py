@@ -153,15 +153,19 @@ def write_csv(path, header: List[str], rows: List[tuple]) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
+def _row_order(key: Tuple[str, float, float, int]) -> tuple:
+    """Canonical CSV row order: policy in POLICY_ORDER, then gamma, lambda, seed or day."""
+    policy, gamma, lam, last = key
+    return POLICY_ORDER.index(policy), gamma, lam, last
+
+
 def per_day_rows(
     scenario_name: str,
     results: Dict[Tuple[str, float, float, int], List[DayRow]],
 ) -> List[tuple]:
     """Flatten grid results into per-day CSV rows in canonical order."""
     rows = []
-    for key in sorted(
-        results, key=lambda k: (POLICY_ORDER.index(k[0]), k[1], k[2], k[3])
-    ):
+    for key in sorted(results, key=_row_order):
         policy, gamma, lam, seed = key
         for r in results[key]:
             rows.append(
@@ -190,7 +194,7 @@ def summary_rows(
         for r in day_rows:
             groups.setdefault((policy, gamma, lam, r.day), []).append(r)
     rows = []
-    for key in sorted(groups, key=lambda k: (POLICY_ORDER.index(k[0]), k[1], k[2], k[3])):
+    for key in sorted(groups, key=_row_order):
         policy, gamma, lam, day = key
         rs = groups[key]
         n = len(rs)
@@ -221,7 +225,7 @@ def repeat_rows(
     results: Dict[Tuple[str, float, float, int], List[RepeatRow]],
 ) -> List[tuple]:
     rows = []
-    for key in sorted(results, key=lambda k: (POLICY_ORDER.index(k[0]), k[1], k[2], k[3])):
+    for key in sorted(results, key=_row_order):
         policy, gamma, lam, seed = key
         for r in results[key]:
             rows.append(

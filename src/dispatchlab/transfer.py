@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .valuation import BufferLike, TupleArrays, ValueTable, as_arrays
+from .valuation import BufferLike, ValueTable, backup_start, td_slice
 from .world import GridWorld
 
 # Weight of the pull toward the warm start on coupled cells without data. It
@@ -67,6 +67,13 @@ class ConcordanceSpec:
     def pair_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._pi, self._pj
 
+    def source_sign(self, v_src_t: np.ndarray) -> np.ndarray:
+        """Per pair (i, j), the sign of v_src_t[j] - v_src_t[i]: the side the source favours.
+
+        0 marks a source tie; such a pair drops out of the hinge.
+        """
+        return np.sign(v_src_t[self._pj] - v_src_t[self._pi])
+
 
 @dataclass
 class OptimizerSettings:
@@ -83,20 +90,25 @@ class OptimizerSettings:
     patience: InitVar[Optional[int]] = None
 
 
-def concordance_loss(v: ValueTable, v_src: ValueTable, spec: ConcordanceSpec) -> float:
-    """Fraction of (time, pair) combinations whose ranking flips between tables.
+def _discord_mask(v_a: ValueTable, v_b: ValueTable, spec: ConcordanceSpec) -> np.ndarray:
+    """(time, pair) mask of the pairs the two tables rank in opposite order.
 
     Ties (either difference exactly zero) count as concordant. The terminal
     row is excluded (it is identically zero in both tables).
     """
-    if v.values.shape != v_src.values.shape:
+    if v_a.values.shape != v_b.values.shape:
         raise ValueError("value table shapes do not match")
     if len(spec.pairs) == 0:
-        raise ValueError("concordance loss needs a nonempty pair set")
+        raise ValueError("concordance needs a nonempty pair set")
     pi, pj = spec.pair_arrays
-    d1 = v.values[:-1, pi] - v.values[:-1, pj]
-    d2 = v_src.values[:-1, pi] - v_src.values[:-1, pj]
-    return float(np.mean(d1 * d2 < 0))
+    d1 = v_a.values[:-1, pi] - v_a.values[:-1, pj]
+    d2 = v_b.values[:-1, pi] - v_b.values[:-1, pj]
+    return d1 * d2 < 0
+
+
+def concordance_loss(v: ValueTable, v_src: ValueTable, spec: ConcordanceSpec) -> float:
+    """Fraction of (time, pair) combinations whose ranking flips between tables."""
+    return float(np.mean(_discord_mask(v, v_src, spec)))
 
 
 def hinge_penalty(v_t: np.ndarray, v_src_t: np.ndarray, spec: ConcordanceSpec) -> float:
@@ -104,28 +116,10 @@ def hinge_penalty(v_t: np.ndarray, v_src_t: np.ndarray, spec: ConcordanceSpec) -
     if len(spec.pairs) == 0:
         return 0.0
     pi, pj = spec.pair_arrays
-    sign_src = np.sign(v_src_t[pj] - v_src_t[pi])
+    sign_src = spec.source_sign(v_src_t)
     d = v_t[pj] - v_t[pi]
     terms = np.maximum(0.0, spec.margin - sign_src * d)
     return float(np.sum(terms[sign_src != 0]))
-
-
-def td_slice(
-    arr: TupleArrays, t: int, values: np.ndarray, gamma: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cells and backup targets for the tuples starting at time t.
-
-    Later-time rows of `values` must already be final; each target is
-    gamma^duration * V(finish) + discounted reward.
-    """
-    sl = arr.slice_at(t)
-    cells = arr.start_cell[sl]
-    targets = (
-        gamma ** arr.duration[sl].astype(float)
-        * values[arr.finish_t[sl], arr.finish_cell[sl]]
-        + arr.reward[sl]
-    )
-    return cells, targets
 
 
 def penalized_objective(
@@ -160,7 +154,7 @@ def objective_gradient(
     grad = 2.0 * np.bincount(cells, weights=resid, minlength=n)
     if spec.lam > 0 and len(spec.pairs) > 0:
         pi, pj = spec.pair_arrays
-        sign_src = np.sign(v_src_t[pj] - v_src_t[pi])
+        sign_src = spec.source_sign(v_src_t)
         d = v_t[pj] - v_t[pi]
         active = (sign_src != 0) & (sign_src * d < spec.margin)
         if np.any(active):
@@ -234,7 +228,7 @@ def solve_time_step(
     resid = v[cells] - targets
     const = float(np.dot(resid, resid))  # objective at the per-cell means
     pi, pj = spec.pair_arrays
-    sign = np.sign(v_src_t[pj] - v_src_t[pi])
+    sign = spec.source_sign(v_src_t)
     ordered = sign != 0
     if spec.lam == 0 or not ordered.any():
         # a decoupled quadratic; the closed form is its exact minimizer
@@ -387,12 +381,7 @@ def transfer_evaluate(
             f"source table shape {v_src.values.shape} does not match world ({T + 1}, {n})"
         )
     opt = opt or OptimizerSettings()
-    arr = as_arrays(buffer)
-    if init is not None:
-        values = init.values.copy()
-        values[T, :] = 0.0
-    else:
-        values = np.zeros((T + 1, n))
+    arr, values = backup_start(buffer, world, init)
     for t in range(T - 1, -1, -1):
         cells, targets = td_slice(arr, t, values, gamma)
         result = solve_time_step(
@@ -437,14 +426,7 @@ def concordance_rate_report(
     v_a: ValueTable, v_b: ValueTable, spec: ConcordanceSpec
 ) -> ConcordanceReport:
     """Concordance rate (1 - loss), both aggregate and per time slice."""
-    if v_a.values.shape != v_b.values.shape:
-        raise ValueError("value table shapes do not match")
-    if len(spec.pairs) == 0:
-        raise ValueError("concordance report needs a nonempty pair set")
-    pi, pj = spec.pair_arrays
-    d1 = v_a.values[:-1, pi] - v_a.values[:-1, pj]
-    d2 = v_b.values[:-1, pi] - v_b.values[:-1, pj]
-    discord = d1 * d2 < 0
+    discord = _discord_mask(v_a, v_b, spec)
     return ConcordanceReport(
         aggregate=float(1.0 - np.mean(discord)),
         per_time=1.0 - discord.mean(axis=1),

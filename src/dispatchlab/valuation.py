@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -183,6 +183,50 @@ def as_arrays(buffer: BufferLike) -> TupleArrays:
     return TupleArrays.from_tuples(buffer)
 
 
+def backup_start(
+    buffer: BufferLike, world: GridWorld, init: Optional[ValueTable] = None
+) -> Tuple[TupleArrays, np.ndarray]:
+    """The tuple arrays and the starting table of a backward pass.
+
+    The table is a copy of `init` (zero when it is None) with the terminal
+    row zeroed. A table of the wrong shape, or a tuple that does not move
+    forward in time, raises ValueError.
+    """
+    arr = as_arrays(buffer)
+    T, n = world.horizon, world.n_cells
+    if init is None:
+        values = np.zeros((T + 1, n))
+    else:
+        if init.values.shape != (T + 1, n):
+            raise ValueError(
+                f"init table shape {init.values.shape} does not match world ({T + 1}, {n})"
+            )
+        values = init.values.copy()
+        values[T, :] = 0.0
+    if len(arr) and np.any(arr.finish_t <= arr.start_t):
+        raise ValueError("all tuples must satisfy finish.t > start.t")
+    return arr, values
+
+
+def td_slice(
+    arr: TupleArrays, t: int, values: np.ndarray, gamma: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cells and backup targets for the tuples starting at time t.
+
+    Later-time rows of `values` must already be final; each target is
+    gamma^duration * V(finish) + discounted reward. This is the one backup
+    target of dp_evaluate, td_evaluate and transfer_evaluate.
+    """
+    sl = arr.slice_at(t)
+    cells = arr.start_cell[sl]
+    targets = (
+        gamma ** arr.duration[sl].astype(float)
+        * values[arr.finish_t[sl], arr.finish_cell[sl]]
+        + arr.reward[sl]
+    )
+    return cells, targets
+
+
 def dp_evaluate(
     buffer: BufferLike,
     world: GridWorld,
@@ -194,27 +238,12 @@ def dp_evaluate(
     Cells with no tuples at a time step keep their initialization (zero, or
     the warm-start table when given).
     """
-    arr = as_arrays(buffer)
-    T, n = world.horizon, world.n_cells
-    if init is not None:
-        if init.values.shape != (T + 1, n):
-            raise ValueError("init table shape does not match world")
-        values = init.values.copy()
-        values[T, :] = 0.0
-    else:
-        values = np.zeros((T + 1, n))
-    if len(arr) and (np.any(arr.finish_t <= arr.start_t)):
-        raise ValueError("all tuples must satisfy finish.t > start.t")
-    for t in range(T - 1, -1, -1):
-        sl = arr.slice_at(t)
-        if sl.start == sl.stop:
+    arr, values = backup_start(buffer, world, init)
+    n = world.n_cells
+    for t in range(world.horizon - 1, -1, -1):
+        cells, targets = td_slice(arr, t, values, gamma)
+        if len(cells) == 0:
             continue
-        cells = arr.start_cell[sl]
-        targets = (
-            gamma ** arr.duration[sl].astype(float)
-            * values[arr.finish_t[sl], arr.finish_cell[sl]]
-            + arr.reward[sl]
-        )
         counts = np.bincount(cells, minlength=n)
         sums = np.bincount(cells, weights=targets, minlength=n)
         covered = counts > 0
@@ -235,23 +264,12 @@ def td_evaluate(
     encoding, solved with numpy's least-squares routine rather than the
     closed-form mean so this path stays independent of dp_evaluate.
     """
-    arr = as_arrays(buffer)
-    T, n = world.horizon, world.n_cells
-    if init is not None:
-        values = init.values.copy()
-        values[T, :] = 0.0
-    else:
-        values = np.zeros((T + 1, n))
-    for t in range(T - 1, -1, -1):
-        sl = arr.slice_at(t)
-        if sl.start == sl.stop:
+    arr, values = backup_start(buffer, world, init)
+    n = world.n_cells
+    for t in range(world.horizon - 1, -1, -1):
+        cells, targets = td_slice(arr, t, values, gamma)
+        if len(cells) == 0:
             continue
-        cells = arr.start_cell[sl]
-        targets = (
-            gamma ** arr.duration[sl].astype(float)
-            * values[arr.finish_t[sl], arr.finish_cell[sl]]
-            + arr.reward[sl]
-        )
         design = np.zeros((len(cells), n))
         design[np.arange(len(cells)), cells] = 1.0
         sol, _, _, _ = np.linalg.lstsq(design, targets, rcond=None)

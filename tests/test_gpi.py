@@ -238,3 +238,11 @@ class TestRepeatSingleDay:
             micro_scenario(), PolicyKind.TARGET_ONLY, 8, 0.9, seed=0
         )
         assert rows[-1].value_delta < rows[1].value_delta + 1e-9
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_first_pass_is_day_zero_of_run_experiment(self, kind):
+        sc = micro_scenario()
+        src = prepare_source(sc, 0.9, seed=3)
+        days = run_experiment(sc, kind, 2, 0.9, seed=3, source=src)
+        passes = repeat_single_day(sc, kind, 2, 0.9, seed=3, source=src)
+        assert passes[0].reward == days[0].reward

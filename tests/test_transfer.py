@@ -440,6 +440,25 @@ class TestTransferEvaluate:
         with pytest.raises(ValueError, match="shape"):
             transfer_evaluate([], v_src, spec, world, 0.9)
 
+    @pytest.mark.parametrize("shape", [(9, 6), (6, 4)])
+    def test_rejects_init_of_wrong_shape(self, shape):
+        # a 2 x 3 world with horizon 5: the table has shape (6, 6)
+        world = make_world(6, 5)
+        v_src = ValueTable.zeros(5, 6, 0.9)
+        tuples = [TransitionTuple(State(0, 5), None, 1.0, State(1, 5), 1)]
+        with pytest.raises(ValueError, match="init table shape"):
+            transfer_evaluate(
+                tuples, v_src, ConcordanceSpec(pairs=[(0, 1)]), world, 0.9,
+                init=ValueTable(np.zeros(shape), 0.9),
+            )
+
+    def test_rejects_tuple_that_does_not_advance(self):
+        world = make_world(6, 5)
+        v_src = ValueTable.zeros(5, 6, 0.9)
+        bad = [TransitionTuple(State(2, 0), None, 1.0, State(2, 0), 1)]
+        with pytest.raises(ValueError, match="finish.t"):
+            transfer_evaluate(bad, v_src, ConcordanceSpec(pairs=[(0, 1)]), world, 0.9)
+
     def test_warm_start_preserved_on_uncovered_cells(self):
         world = make_world(3, 4)
         init_vals = np.full((5, 3), 2.5)

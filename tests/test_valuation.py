@@ -250,6 +250,29 @@ class TestTdEvaluate:
             assert np.max(np.abs(dp.values - td.values)) < 1e-6
 
 
+class TestStartingTable:
+    """dp_evaluate and td_evaluate share one starting-table and tuple check.
+
+    On a 2 x 3 world with horizon 5 the table has shape (6, 6).
+    """
+
+    WORLD = make_world(6, 5)
+    TUPLE = TransitionTuple(State(0, 5), None, 1.0, State(1, 5), 1)
+
+    @pytest.mark.parametrize("evaluate", [dp_evaluate, td_evaluate])
+    @pytest.mark.parametrize("shape", [(9, 6), (6, 4)])
+    def test_rejects_init_of_wrong_shape(self, evaluate, shape):
+        init = ValueTable(np.zeros(shape), 0.9)
+        with pytest.raises(ValueError, match="init table shape"):
+            evaluate([self.TUPLE], self.WORLD, 0.9, init=init)
+
+    def test_td_rejects_tuple_that_does_not_advance(self):
+        # dp_evaluate's case is TestDpEvaluate.test_rejects_non_advancing_tuple
+        bad = [TransitionTuple(State(2, 0), None, 1.0, State(2, 0), 1)]
+        with pytest.raises(ValueError, match="finish.t"):
+            td_evaluate(bad, self.WORLD, 0.9)
+
+
 class TestQValue:
     def test_null_option_is_state_value(self):
         world = make_world(2, 10)
