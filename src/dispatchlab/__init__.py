@@ -38,7 +38,6 @@ from .dispatch import (
     MatchResult,
     advantage_transform,
     build_problem,
-    discount_powers,
     km_match,
 )
 from .simulator import DayMetrics, DriverPool, apply_matching, generate_window, run_day

@@ -12,7 +12,7 @@ from typing import List, Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .valuation import ValueTable
+from .valuation import ValueTable, discount_table
 from .world import DriverBatch, GridWorld, OrderBatch
 
 
@@ -54,16 +54,6 @@ class MatchResult:
     objective: float
 
 
-def discount_powers(gamma: float, n: int) -> np.ndarray:
-    """gamma ** k for k < n, as numpy's array power computes them.
-
-    build_problem reads every gamma ** k from this table. Its entries are
-    the values `gamma ** k.astype(float)` gives elementwise, which may
-    differ in the last bit from Python's scalar `gamma ** k`.
-    """
-    return gamma ** np.arange(n, dtype=float)
-
-
 def build_problem(
     drivers: DriverBatch,
     orders: OrderBatch,
@@ -100,7 +90,7 @@ def build_problem(
     pickup = world.pickup_matrix.take(cells, 0).take(orders.origin, 1)
     total = pickup + durations
     finish_t = np.minimum(total + t, T)
-    powers = discount_powers(gamma, int(total.max()) + 1)
+    powers = discount_table(gamma, int(total.max()) + 1)
 
     # truncated installment sum, delayed by the pickup travel
     paid = np.minimum(durations, np.maximum(T - t - pickup, 0))

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .valuation import TupleArrays
+from .valuation import TupleArrays, discount_table
 from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, OrderBatch
 
 # A policy maps (drivers, orders, t) to one entry per driver: the index of
@@ -220,16 +220,6 @@ def generate_window(
     return OrderBatch(origins, dests, revenues, durations, t), drivers
 
 
-def installment_powers(gamma: float, n: int) -> np.ndarray:
-    """gamma ** k for k < n, each computed with Python's float power.
-
-    These are the exact factors `truncated_discounted_reward` uses. numpy's
-    array power (which `dispatch.discount_powers` uses) may differ from them
-    in the last bit, so the two tables are kept apart.
-    """
-    return np.array([gamma**k for k in range(n)], dtype=float)
-
-
 def as_order_index(assignment: Sequence[Optional[int]]) -> np.ndarray:
     """The km_match assignment form as an int64 array, -1 for idle."""
     if isinstance(assignment, np.ndarray):
@@ -275,7 +265,7 @@ def apply_matching(
         # truncated_discounted_reward, delayed by the pickup, with the same
         # operations in the same order; revenue >= 0 makes paid == 0 give 0.0
         paid = np.minimum(trip, np.maximum(0, T - (t + pickup)))
-        powers = installment_powers(gamma, int(max(pickup.max(), paid.max())) + 1)
+        powers = discount_table(gamma, int(max(pickup.max(), paid.max())) + 1)
         per_step = orders.revenue[ko] / trip
         if gamma == 1.0:
             installments = per_step * paid

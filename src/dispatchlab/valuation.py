@@ -39,6 +39,17 @@ def truncated_discounted_reward(
     return per_step * (1.0 - gamma**paid) / (1.0 - gamma)
 
 
+def discount_table(gamma: float, n: int) -> np.ndarray:
+    """gamma ** k for k < n, each computed with Python's float power.
+
+    These are the exact factors `truncated_discounted_reward` uses, on every
+    numpy build: numpy's array power can round differently (with its AVX-512
+    kernels, 0.9 ** 12 and 0.9 ** 23 differ in the last bit). Every discount
+    factor of the simulator, the matcher and the backup is read from here.
+    """
+    return np.array([gamma**k for k in range(n)])
+
+
 @dataclass
 class ValueTable:
     """Dense (T+1) x N table of state values for one policy/environment."""
@@ -219,11 +230,9 @@ def td_slice(
     """
     sl = arr.slice_at(t)
     cells = arr.start_cell[sl]
-    targets = (
-        gamma ** arr.duration[sl].astype(float)
-        * values[arr.finish_t[sl], arr.finish_cell[sl]]
-        + arr.reward[sl]
-    )
+    duration = arr.duration[sl]
+    discount = discount_table(gamma, int(duration.max(initial=0)) + 1).take(duration)
+    targets = discount * values[arr.finish_t[sl], arr.finish_cell[sl]] + arr.reward[sl]
     return cells, targets
 
 

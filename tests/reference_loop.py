@@ -184,16 +184,12 @@ def build_problem(
     allowed = np.clip(T - (driver_ts[:, None] + pickup), 0, None)
     paid = np.minimum(durations[None, :], allowed)
     per_step = revenues / durations
+    power = np.vectorize(lambda k: gamma**k, otypes=[float])
     if gamma == 1.0:
         r = per_step[None, :] * paid
     else:
-        r = (
-            gamma**pickup.astype(float)
-            * per_step[None, :]
-            * (1.0 - gamma**paid.astype(float))
-            / (1.0 - gamma)
-        )
-    scores[:, 1:] = gamma**total.astype(float) * value.values[finish_t, dests[None, :]] + r
+        r = power(pickup) * per_step[None, :] * (1.0 - power(paid)) / (1.0 - gamma)
+    scores[:, 1:] = power(total) * value.values[finish_t, dests[None, :]] + r
     feasible[:, 1:] = driver_ts[:, None] + pickup < T
     if radius is not None:
         feasible[:, 1:] &= pickup <= radius

@@ -12,7 +12,6 @@ from dispatchlab import (
     ValueTable,
     advantage_transform,
     build_problem,
-    discount_powers,
     discounted_reward,
     km_match,
 )
@@ -142,12 +141,6 @@ class TestBuildProblem:
         assert not p.feasible[0, 1]
         assert p.feasible[0, 2]
         assert not p.feasible[0, 3]
-
-
-    def test_discount_powers_are_array_powers(self):
-        assert np.array_equal(discount_powers(0.9, 30), 0.9 ** np.arange(30).astype(float))
-        # an entry does not depend on the length of the table it is built in
-        assert np.array_equal(discount_powers(0.9, 7), discount_powers(0.9, 30)[:7])
 
 
 class TestAdvantageTransform:

@@ -17,6 +17,7 @@ from dispatchlab import (
     td_evaluate,
     truncated_discounted_reward,
 )
+from dispatchlab.valuation import td_slice
 
 from conftest import make_world, random_buffer
 
@@ -221,6 +222,29 @@ class TestDpEvaluate:
         # untouched cells keep the initialization
         assert table.get(2, 1) == 5.0
         assert np.all(table.values[-1] == 0.0)
+
+
+class TestTdSlice:
+    @pytest.mark.parametrize("gamma", [0.9, 0.95, 1.0])
+    def test_targets_use_python_powers(self, gamma):
+        # durations up to 60: numpy's AVX-512 array power rounds 0.9 ** 12
+        # and 0.9 ** 23 differently from Python's float power
+        world = make_world(4, 70)
+        rng = np.random.default_rng(5)
+        duration = np.arange(1, 61)
+        finish_cell = rng.integers(0, 4, 60)
+        reward = rng.random(60) * 9
+        arr = TupleArrays(
+            np.full(60, 3), rng.integers(0, 4, 60), 3 + duration, finish_cell, reward, duration
+        )
+        values = rng.random((71, 4)) * 12
+        cells, targets = td_slice(arr, 3, values, gamma)
+        assert np.array_equal(cells, arr.start_cell)
+        want = [
+            gamma ** int(d) * values[3 + d, c] + r
+            for d, c, r in zip(duration.tolist(), finish_cell.tolist(), reward.tolist())
+        ]
+        assert targets.tolist() == want
 
 
 class TestTdEvaluate:
