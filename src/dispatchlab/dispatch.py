@@ -12,7 +12,7 @@ from typing import List, Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .valuation import ValueTable, discount_table
+from .valuation import ValueTable, discount_table, served_transition
 from .world import DriverBatch, GridWorld, OrderBatch
 
 
@@ -86,21 +86,13 @@ def build_problem(
     waiting[drivers.cell] = True
     cells = waiting.nonzero()[0]
     row_of = (np.cumsum(waiting) - 1).take(drivers.cell)  # driver -> row of its cell
-    durations = orders.duration
     pickup = world.pickup_matrix.take(cells, 0).take(orders.origin, 1)
-    total = pickup + durations
-    finish_t = np.minimum(total + t, T)
-    powers = discount_table(gamma, int(total.max()) + 1)
-
-    # truncated installment sum, delayed by the pickup travel
-    paid = np.minimum(durations, np.maximum(T - t - pickup, 0))
-    per_step = orders.revenue / durations
-    if gamma == 1.0:
-        r = per_step * paid
-    else:
-        r = powers.take(pickup) * per_step * (1.0 - powers.take(paid)) / (1.0 - gamma)
+    powers = discount_table(gamma, int(pickup.max() + orders.duration.max()) + 1)
+    total, finish_t, reward = served_transition(
+        t, pickup, orders.duration, orders.revenue, T, gamma, powers
+    )
     continuation = value.values.take(finish_t * value.n_cells + orders.destination)
-    scores[:, 1:] = (powers.take(total) * continuation + r).take(row_of, 0)
+    scores[:, 1:] = (powers.take(total) * continuation + reward).take(row_of, 0)
 
     ok = pickup < T - t
     if radius is not None:

@@ -124,10 +124,6 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "max_iters": {"type": "integer", "minimum": 1},
                 "tol": {"type": "number", "minimum": 0},
-                # knobs of the earlier subgradient solver: accepted so that
-                # old manifests still load, and ignored
-                "alpha0": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "patience": {"type": "integer", "minimum": 1},
             },
         },
     },

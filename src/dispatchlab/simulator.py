@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .valuation import TupleArrays, discount_table
+from .valuation import TupleArrays, discount_table, served_transition
 from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, OrderBatch
 
 # A policy maps (drivers, orders, t) to one entry per driver: the index of
@@ -245,6 +245,8 @@ def apply_matching(
     k = as_order_index(assignment)
     if k.shape != (m,):
         raise ConstraintViolation(f"assignment has {len(k)} entries for {m} drivers")
+    if m and k.min() < -1:
+        raise ConstraintViolation(f"assignment entry {k.min()} is neither an order nor -1")
     if m > 1 and np.bincount(drivers.driver_id).max() > 1:
         raise ConstraintViolation("a driver is assigned twice")
     serve = (k >= 0).nonzero()[0]
@@ -258,20 +260,11 @@ def apply_matching(
     if ko.size:
         pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[ko]]
         trip = orders.duration[ko]
-        total = pickup + trip
-        finish_t[serve] = np.minimum(t + total, T)
+        powers = discount_table(gamma, int(pickup.max() + trip.max()) + 1)
+        duration[serve], finish_t[serve], reward[serve] = served_transition(
+            t, pickup, trip, orders.revenue[ko], T, gamma, powers
+        )
         finish_cell[serve] = orders.destination[ko]
-        duration[serve] = total
-        # truncated_discounted_reward, delayed by the pickup, with the same
-        # operations in the same order; revenue >= 0 makes paid == 0 give 0.0
-        paid = np.minimum(trip, np.maximum(0, T - (t + pickup)))
-        powers = discount_table(gamma, int(max(pickup.max(), paid.max())) + 1)
-        per_step = orders.revenue[ko] / trip
-        if gamma == 1.0:
-            installments = per_step * paid
-        else:
-            installments = per_step * (1.0 - powers[paid]) / (1.0 - gamma)
-        reward[serve] = powers[pickup] * installments
     start_t = np.full(m, t, dtype=np.int64)
     return TupleArrays(start_t, drivers.cell, finish_t, finish_cell, reward, duration)
 

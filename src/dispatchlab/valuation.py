@@ -40,14 +40,35 @@ def truncated_discounted_reward(
 
 
 def discount_table(gamma: float, n: int) -> np.ndarray:
-    """gamma ** k for k < n, each computed with Python's float power.
-
-    These are the exact factors `truncated_discounted_reward` uses, on every
-    numpy build: numpy's array power can round differently (with its AVX-512
-    kernels, 0.9 ** 12 and 0.9 ** 23 differ in the last bit). Every discount
-    factor of the simulator, the matcher and the backup is read from here.
+    """gamma ** k for k < n, by Python's float power: the factors of
+    `truncated_discounted_reward` on every numpy build (numpy's AVX-512 array
+    power rounds 0.9 ** 12 and 0.9 ** 23 differently). Every discount of the
+    simulator, the matcher and the backup is read from such a table.
     """
     return np.array([gamma**k for k in range(n)])
+
+
+def served_transition(
+    t, pickup, duration, revenue, horizon: int, gamma: float, powers: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Total duration, truncated finish time and reward of serving orders.
+
+    The reward is `gamma ** pickup * truncated_discounted_reward(revenue,
+    duration, gamma, horizon - (t + pickup))`, elementwise, with the same
+    operations in the same order: what the matcher scores is what the
+    simulator pays. The arguments broadcast; `powers` is
+    `discount_table(gamma, n)` with n > every pickup + duration.
+    """
+    total = pickup + duration
+    finish_t = np.minimum(t + total, horizon)
+    # revenue >= 0, so paid == 0 gives 0.0 as the scalar definition does
+    paid = np.minimum(duration, np.maximum(horizon - (t + pickup), 0))
+    per_step = revenue / duration
+    if gamma == 1.0:
+        installments = per_step * paid
+    else:
+        installments = per_step * (1.0 - powers.take(paid)) / (1.0 - gamma)
+    return total, finish_t, powers.take(pickup) * installments
 
 
 @dataclass
@@ -200,11 +221,19 @@ def backup_start(
     """The tuple arrays and the starting table of a backward pass.
 
     The table is a copy of `init` (zero when it is None) with the terminal
-    row zeroed. A table of the wrong shape, or a tuple that does not move
-    forward in time, raises ValueError.
+    row zeroed. A table of the wrong shape, a tuple outside the world's
+    times and cells, or one that does not move forward in time raises
+    ValueError.
     """
     arr = as_arrays(buffer)
     T, n = world.horizon, world.n_cells
+    ends = {"start_t": T, "start_cell": n, "finish_t": T + 1, "finish_cell": n}
+    for name, end in ends.items():
+        column = getattr(arr, name)
+        if column.min(initial=0) < 0 or column.max(initial=0) >= end:
+            raise ValueError(f"tuple column {name} has a value outside [0, {end})")
+    if np.any(arr.finish_t <= arr.start_t):
+        raise ValueError("all tuples must satisfy finish.t > start.t")
     if init is None:
         values = np.zeros((T + 1, n))
     else:
@@ -214,8 +243,6 @@ def backup_start(
             )
         values = init.values.copy()
         values[T, :] = 0.0
-    if len(arr) and np.any(arr.finish_t <= arr.start_t):
-        raise ValueError("all tuples must satisfy finish.t > start.t")
     return arr, values
 
 

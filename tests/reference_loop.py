@@ -2,8 +2,8 @@
 
 This is the day loop written one Python object per order, idle driver and
 transition: `DriverSlot`, `OrderRequest`, `State` and `TransitionTuple`.
-Its policies score pairs with the list-based Q-value matrix and solve them
-with `km_match`. It draws from the same RNG streams in the same order as
+Its policies score each pair with the scalar reward definition and solve
+them with `km_match`. It draws from the same RNG streams in the same order as
 `dispatchlab.simulator`, so for equal inputs the columnar loop must return
 the same `TupleArrays` columns (via `TupleArrays.from_tuples`) and the same
 `DayMetrics`, bit for bit.
@@ -162,37 +162,26 @@ def build_problem(
     world: GridWorld,
     radius: Optional[int] = None,
 ) -> MatchProblem:
-    """Q-value scores from object lists; MatchProblem only needs len() of both."""
+    """Q-value scores pair by pair from the scalar reward definition.
+
+    MatchProblem only needs len() of both lists.
+    """
     m, n = len(drivers), len(orders)
     T = value.horizon
     scores = np.zeros((m, n + 1))
     feasible = np.ones((m, n + 1), dtype=bool)
-    if m == 0:
-        return MatchProblem(list(drivers), list(orders), scores, feasible)
-    driver_cells = np.array([d.state.cell for d in drivers], dtype=np.int64)
-    driver_ts = np.array([d.state.t for d in drivers], dtype=np.int64)
-    scores[:, 0] = value.values[driver_ts, driver_cells]
-    if n == 0:
-        return MatchProblem(list(drivers), list(orders), scores, feasible)
-    origins = np.array([o.origin for o in orders], dtype=np.int64)
-    dests = np.array([o.destination for o in orders], dtype=np.int64)
-    durations = np.array([o.duration for o in orders], dtype=np.int64)
-    revenues = np.array([o.revenue for o in orders])
-    pickup = world.pickup_matrix[driver_cells[:, None], origins[None, :]]
-    total = pickup + durations[None, :]
-    finish_t = np.minimum(driver_ts[:, None] + total, T)
-    allowed = np.clip(T - (driver_ts[:, None] + pickup), 0, None)
-    paid = np.minimum(durations[None, :], allowed)
-    per_step = revenues / durations
-    power = np.vectorize(lambda k: gamma**k, otypes=[float])
-    if gamma == 1.0:
-        r = per_step[None, :] * paid
-    else:
-        r = power(pickup) * per_step[None, :] * (1.0 - power(paid)) / (1.0 - gamma)
-    scores[:, 1:] = power(total) * value.values[finish_t, dests[None, :]] + r
-    feasible[:, 1:] = driver_ts[:, None] + pickup < T
-    if radius is not None:
-        feasible[:, 1:] &= pickup <= radius
+    for l, driver in enumerate(drivers):
+        t, cell = driver.state.t, driver.state.cell
+        scores[l, 0] = value.get(t, cell)
+        for k, order in enumerate(orders):
+            pickup = world.pickup_time(cell, order.origin)
+            total = pickup + order.duration
+            reward = gamma**pickup * truncated_discounted_reward(
+                order.revenue, order.duration, gamma, T - (t + pickup)
+            )
+            continuation = value.get(min(t + total, T), order.destination)
+            scores[l, k + 1] = gamma**total * continuation + reward
+            feasible[l, k + 1] = t + pickup < T and (radius is None or pickup <= radius)
     return MatchProblem(list(drivers), list(orders), scores, feasible)
 
 

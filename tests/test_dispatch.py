@@ -107,23 +107,33 @@ class TestBuildProblem:
     def test_q_scores_match_scalar_oracle(self):
         from dispatchlab import q_value
 
-        world = GridWorld.lattice(3, 3, 12)
+        # a long lattice: pickups, trips and their sums reach every exponent
+        # up to 60, and some trips run past the horizon
+        world = GridWorld.lattice(1, 31, 50)
         rng = np.random.default_rng(8)
-        vals = rng.random((13, 9)) * 4
+        vals = rng.random((51, 31)) * 4
         vals[-1] = 0.0
-        table = ValueTable(vals, 0.9)
-        drivers = [DriverSlot(l, State(4, int(rng.integers(0, 9)))) for l in range(5)]
-        orders = [
-            OrderRequest(int(rng.integers(0, 9)), int(rng.integers(0, 9)), 5.0, 3, 4)
-            for _ in range(6)
-        ]
-        p = build_problem(driver_batch(drivers), order_batch(orders, 4), table, 0.9, world)
-        for l, d in enumerate(drivers):
-            assert p.scores[l, 0] == pytest.approx(q_value(table, d, None, 0.9, world))
-            for k, o in enumerate(orders):
-                assert p.scores[l, k + 1] == pytest.approx(
-                    q_value(table, d, o, 0.9, world)
+        for gamma in (0.9, 0.95, 1.0):
+            table = ValueTable(vals, gamma)
+            for t in (0, 17, 45):
+                cells = rng.integers(0, 31, 9).tolist()
+                drivers = [DriverSlot(l, State(t, c)) for l, c in enumerate(cells)]
+                orders = [
+                    OrderRequest(int(o), int(d), float(r), int(k), t)
+                    for o, d, r, k in zip(
+                        rng.integers(0, 31, 12),
+                        rng.integers(0, 31, 12),
+                        rng.random(12) * 20,
+                        rng.integers(1, 31, 12),
+                    )
+                ]
+                p = build_problem(
+                    driver_batch(drivers), order_batch(orders, t), table, gamma, world
                 )
+                for l, d in enumerate(drivers):
+                    assert p.scores[l, 0] == q_value(table, d, None, gamma, world)
+                    for k, o in enumerate(orders):
+                        assert p.scores[l, k + 1] == q_value(table, d, o, gamma, world)
 
     def test_radius_and_horizon_feasibility(self):
         world = GridWorld.lattice(1, 6, 10)  # cells 0..5 on a line

@@ -9,10 +9,14 @@ regenerate the files with `dispatchlab simulate --config tests/data/pinned.yaml`
 and `dispatchlab repeat-day --config tests/data/pinned.yaml --repetitions 3`,
 and say why the numbers moved.
 """
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
 
+import dispatchlab
 from dispatchlab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -24,6 +28,32 @@ def test_pinned_manifest_reruns_byte_identical(tmp_path):
         main, ["simulate", "--config", str(DATA / "pinned.yaml"), "--out", str(out)]
     )
     assert result.exit_code == 0, result.output
+    for name in ("per_day.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (DATA / f"pinned_{name}").read_bytes(), name
+
+
+def test_pinned_manifest_is_byte_identical_without_avx512(tmp_path):
+    """The same bytes with numpy's AVX-512 kernels switched off.
+
+    numpy's array power rounds some powers differently with those kernels
+    (0.9 ** 12 and 0.9 ** 23 among them), so a result that took gamma ** k
+    from it would depend on the host. numpy ignores the setting on hosts
+    without the X86_V4 group. Only X86_V4 may be named: disabling a baseline
+    group such as X86_V2 or X86_V3 makes numpy fail at import.
+    """
+    out = tmp_path / "pinned"
+    src = str(Path(dispatchlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4", PYTHONPATH=path)
+    command = ["simulate", "--config", str(DATA / "pinned.yaml"), "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-m", "dispatchlab.cli", *command],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
     for name in ("per_day.csv", "summary.csv"):
         assert (out / name).read_bytes() == (DATA / f"pinned_{name}").read_bytes(), name
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dispatchlab import OptimizerSettings, Scenario, ScenarioError, default_scenario
+from dispatchlab import Scenario, ScenarioError, default_scenario
 
 
 def minimal_raw(**overrides):
@@ -22,11 +22,12 @@ class TestValidation:
         assert sc.n_cells == 6
         assert sc.horizon == 10
 
-    def test_retired_optimizer_keys_load_and_are_ignored(self):
+    def test_retired_optimizer_keys_rejected(self):
         # alpha0 and patience tuned the earlier subgradient solver
-        raw = minimal_raw(optimizer={"alpha0": 0.1, "max_iters": 40, "tol": 1e-7, "patience": 5})
-        sc = Scenario.from_dict(raw)
-        assert sc.optimizer_settings() == OptimizerSettings(max_iters=40, tol=1e-7)
+        for key in ("alpha0", "patience"):
+            raw = minimal_raw(optimizer={key: 5, "max_iters": 40, "tol": 1e-7})
+            with pytest.raises(ScenarioError, match=f"'{key}' was unexpected"):
+                Scenario.from_dict(raw)
 
     def test_missing_required_field(self):
         raw = minimal_raw()

@@ -188,6 +188,12 @@ class TestApplyMatching:
         with pytest.raises(ConstraintViolation, match="driver"):
             apply_matching(drivers, OrderBatch.empty(0), [None, None], 0.9, self.world)
 
+    def test_rejects_entry_below_minus_one(self):
+        orders = OrderBatch.from_requests([OrderRequest(0, 1, 5.0, 1, 0)], 0)
+        drivers = DriverBatch([0, 1], [0, 0], 0)
+        with pytest.raises(ConstraintViolation, match="-2"):
+            apply_matching(drivers, orders, [-2, 0], 0.9, self.world)
+
     def test_rejects_duplicate_order(self):
         orders = OrderBatch.from_requests([OrderRequest(0, 1, 5.0, 1, 0)], 0)
         drivers = DriverBatch([0, 1], [0, 0], 0)

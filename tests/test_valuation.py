@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispatchlab import (
+    ConcordanceSpec,
     DriverSlot,
     GridWorld,
     OrderRequest,
@@ -15,9 +16,10 @@ from dispatchlab import (
     dp_evaluate,
     q_value,
     td_evaluate,
+    transfer_evaluate,
     truncated_discounted_reward,
 )
-from dispatchlab.valuation import td_slice
+from dispatchlab.valuation import discount_table, served_transition, td_slice
 
 from conftest import make_world, random_buffer
 
@@ -105,6 +107,28 @@ class TestTruncatedDiscountedReward:
         )
         got = truncated_discounted_reward(revenue, duration, gamma, allowed)
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+class TestServedTransition:
+    @pytest.mark.parametrize("gamma", [0.9, 0.95, 1.0])
+    def test_equals_scalar_definition(self, gamma):
+        # every pickup 0..60 against every duration 1..60; at t = 40 and a
+        # horizon of 100 the paid installments run from 0 to 60
+        pickup = np.arange(61)[:, None]
+        duration = np.arange(1, 61)
+        revenue = np.random.default_rng(2).random(60) * 30
+        t, horizon = 40, 100
+        total, finish_t, reward = served_transition(
+            t, pickup, duration, revenue, horizon, gamma, discount_table(gamma, 121)
+        )
+        for p in range(61):
+            for k, d in enumerate(duration.tolist()):
+                want = gamma**p * truncated_discounted_reward(
+                    float(revenue[k]), d, gamma, horizon - (t + p)
+                )
+                assert reward[p, k] == want, (p, d)
+                assert total[p, k] == p + d
+                assert finish_t[p, k] == min(t + p + d, horizon)
 
 
 class TestValueTable:
@@ -241,7 +265,7 @@ class TestTdSlice:
         cells, targets = td_slice(arr, 3, values, gamma)
         assert np.array_equal(cells, arr.start_cell)
         want = [
-            gamma ** int(d) * values[3 + d, c] + r
+            gamma**d * values[3 + d, c] + r
             for d, c, r in zip(duration.tolist(), finish_cell.tolist(), reward.tolist())
         ]
         assert targets.tolist() == want
@@ -274,8 +298,14 @@ class TestTdEvaluate:
             assert np.max(np.abs(dp.values - td.values)) < 1e-6
 
 
+def transfer_from_zero(buffer, world, gamma):
+    """transfer_evaluate toward an all-zero source table on one pair."""
+    v_src = ValueTable.zeros(world.horizon, world.n_cells, gamma)
+    return transfer_evaluate(buffer, v_src, ConcordanceSpec(pairs=[(0, 1)]), world, gamma)
+
+
 class TestStartingTable:
-    """dp_evaluate and td_evaluate share one starting-table and tuple check.
+    """dp_evaluate, td_evaluate and transfer_evaluate share one starting-table and tuple check.
 
     On a 2 x 3 world with horizon 5 the table has shape (6, 6).
     """
@@ -289,6 +319,23 @@ class TestStartingTable:
         init = ValueTable(np.zeros(shape), 0.9)
         with pytest.raises(ValueError, match="init table shape"):
             evaluate([self.TUPLE], self.WORLD, 0.9, init=init)
+
+    @pytest.mark.parametrize("evaluate", [dp_evaluate, td_evaluate, transfer_from_zero])
+    @pytest.mark.parametrize(
+        "column,start,finish",
+        [
+            ("finish_cell", State(0, 0), State(1, -1)),
+            ("start_t", State(7, 0), State(8, 0)),
+            ("finish_t", State(0, 0), State(9, 0)),
+        ],
+        ids=["finish_cell", "start_t", "finish_t"],
+    )
+    def test_rejects_tuple_outside_world(self, evaluate, column, start, finish):
+        # a 1 x 3 world with horizon 4: times 0..4, cells 0..2
+        world = GridWorld.lattice(1, 3, 4)
+        bad = [TransitionTuple(start, None, 1.0, finish, finish.t - start.t)]
+        with pytest.raises(ValueError, match=f"tuple column {column}"):
+            evaluate(bad, world, 0.9)
 
     def test_td_rejects_tuple_that_does_not_advance(self):
         # dp_evaluate's case is TestDpEvaluate.test_rejects_non_advancing_tuple
