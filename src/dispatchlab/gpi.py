@@ -29,21 +29,23 @@ class PolicyKind(enum.Enum):
     NAIVELY_COMBINE = "naively_combine"
     PATTERN_TRANSFER = "pattern_transfer"
 
+    @property
+    def uses_lambda(self) -> bool:
+        """Whether the concordance weight lambda enters this policy's tables."""
+        return self is PolicyKind.PATTERN_TRANSFER
+
 
 @dataclass
 class Buffer:
     """Per-day transition collections, split by originating environment.
 
-    Each merged view is cached with the days it covers. When days are
-    appended, the new view is the stable merge of the cached view and the
-    new days only: a stable sort of [sorted(parts), new] equals the stable
-    sort of [parts, new], so the result matches `TupleArrays.concat` of all
-    parts while each day is sorted in only once.
+    Each view is a list of day parts, each sorted by start time. The
+    evaluators read every backup slice from the parts themselves, so no
+    merged copy of the buffer is ever made.
     """
 
     source_days: List[TupleArrays] = field(default_factory=list)
     target_days: List[TupleArrays] = field(default_factory=list)
-    _merged: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_source_day(self, arr: TupleArrays) -> None:
         self.source_days.append(arr)
@@ -51,26 +53,14 @@ class Buffer:
     def add_target_day(self, arr: TupleArrays) -> None:
         self.target_days.append(arr)
 
-    def _merge(self, key: str, parts: List[TupleArrays]) -> TupleArrays:
-        cached = self._merged.get(key)
-        if cached is not None and cached[0] == parts[: len(cached[0])]:
-            covered, arrays = cached
-            if len(covered) == len(parts):
-                return arrays
-            arrays = TupleArrays.concat([arrays] + parts[len(covered) :])
-        else:
-            arrays = TupleArrays.concat(parts)
-        self._merged[key] = (list(parts), arrays)
-        return arrays
+    def source_arrays(self) -> List[TupleArrays]:
+        return list(self.source_days)
 
-    def source_arrays(self) -> TupleArrays:
-        return self._merge("source", self.source_days)
+    def target_arrays(self) -> List[TupleArrays]:
+        return list(self.target_days)
 
-    def target_arrays(self) -> TupleArrays:
-        return self._merge("target", self.target_days)
-
-    def all_arrays(self) -> TupleArrays:
-        return self._merge("all", self.source_days + self.target_days)
+    def all_arrays(self) -> List[TupleArrays]:
+        return self.source_days + self.target_days
 
 
 def evaluate_policy_value(
@@ -85,17 +75,17 @@ def evaluate_policy_value(
 ) -> ValueTable:
     """Learn the day's value table per policy variant.
 
-    Target-fitting variants warm-start from the previous day's table; the
-    source-only table depends on source data alone and is therefore frozen
-    across days.
+    Target-fitting variants warm-start from the previous day's table. The
+    source-only table is `v_src` itself, the DP fit of the source days, on
+    every day.
     """
     T, n = world.horizon, world.n_cells
     if kind is PolicyKind.GREEDY:
         return ValueTable.zeros(T, n, gamma)
     if kind is PolicyKind.SOURCE_ONLY:
-        if not buffer.source_days:
-            raise ValueError("source_only needs source data")
-        return dp_evaluate(buffer.source_arrays(), world, gamma)
+        if v_src is None:
+            raise ValueError("source_only needs the source table")
+        return v_src
     if kind is PolicyKind.TARGET_ONLY:
         return dp_evaluate(buffer.target_arrays(), world, gamma, init=prev)
     if kind is PolicyKind.NAIVELY_COMBINE:
@@ -153,7 +143,7 @@ def prepare_source(scenario: Scenario, gamma: float, seed: int) -> SourceData:
             world, model, policy, gamma, scenario.seed + seed, phase=PHASE_SOURCE, day=day
         )
         days.append(tuples)
-    v_src = dp_evaluate(TupleArrays.concat(days), world, gamma)
+    v_src = dp_evaluate(days, world, gamma)
     spec = scenario.concordance_spec(v_src)
     return SourceData(days=days, v_src=v_src, pairs=spec.pairs)
 
@@ -182,10 +172,9 @@ def _gpi_passes(
     """GPI over the target days in `schedule`: evaluate, dispatch the day, absorb the data.
 
     Yields each pass's day metrics, the table it dispatched with and the
-    table of the pass before (None on the first). The source_only table is
-    fitted once and then frozen. Demand realizations depend only on
-    (scenario seed, seed, day, window), so different policies run against
-    identical order streams.
+    table of the pass before (None on the first). Demand realizations
+    depend only on (scenario seed, seed, day, window), so different
+    policies run against identical order streams.
     """
     world = scenario.build_world()
     target_model = scenario.build_target_model()
@@ -200,12 +189,9 @@ def _gpi_passes(
     buffer = Buffer(source_days=list(source.days))
     prev: Optional[ValueTable] = None
     for day in schedule:
-        if kind is PolicyKind.SOURCE_ONLY and prev is not None:
-            value = prev
-        else:
-            value = evaluate_policy_value(
-                kind, buffer, source.v_src, spec, world, gamma, opt=opt, prev=prev
-            )
+        value = evaluate_policy_value(
+            kind, buffer, source.v_src, spec, world, gamma, opt=opt, prev=prev
+        )
         policy = value_dispatch_policy(value, gamma, world, scenario.pickup_radius)
         tuples, metrics = run_day(
             world, target_model, policy, gamma, scenario.seed + seed, phase=PHASE_TARGET, day=day

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,13 +40,18 @@ def truncated_discounted_reward(
     return per_step * (1.0 - gamma**paid) / (1.0 - gamma)
 
 
+@functools.lru_cache(maxsize=256)
 def discount_table(gamma: float, n: int) -> np.ndarray:
     """gamma ** k for k < n, by Python's float power: the factors of
     `truncated_discounted_reward` on every numpy build (numpy's AVX-512 array
     power rounds 0.9 ** 12 and 0.9 ** 23 differently). Every discount of the
     simulator, the matcher and the backup is read from such a table.
+
+    Each (gamma, n) table is built once and shared, so it is read-only.
     """
-    return np.array([gamma**k for k in range(n)])
+    table = np.array([gamma**k for k in range(n)])
+    table.flags.writeable = False
+    return table
 
 
 def served_transition(
@@ -144,18 +150,29 @@ class ValueTable:
 
 
 class TupleArrays:
-    """Columnar view of a transition buffer, presorted by start time."""
+    """Columnar copy of a transition buffer, stably sorted by start time."""
 
     __slots__ = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration", "_bounds")
 
     def __init__(self, start_t, start_cell, finish_t, finish_cell, reward, duration):
-        order = np.argsort(start_t, kind="stable")
-        self.start_t = np.asarray(start_t, dtype=np.int64)[order]
-        self.start_cell = np.asarray(start_cell, dtype=np.int64)[order]
-        self.finish_t = np.asarray(finish_t, dtype=np.int64)[order]
-        self.finish_cell = np.asarray(finish_cell, dtype=np.int64)[order]
-        self.reward = np.asarray(reward, dtype=float)[order]
-        self.duration = np.asarray(duration, dtype=np.int64)[order]
+        start_t = np.asarray(start_t, dtype=np.int64)
+        # every window and day the simulator makes is sorted already, and a
+        # stable sort leaves a sorted column as it is
+        order = None
+        if np.any(start_t[1:] < start_t[:-1]):
+            order = np.argsort(start_t, kind="stable")
+
+        def column(values, dtype):
+            if order is None:
+                return np.array(values, dtype=dtype)  # a copy: never alias the input
+            return np.asarray(values, dtype=dtype)[order]
+
+        self.start_t = column(start_t, np.int64)
+        self.start_cell = column(start_cell, np.int64)
+        self.finish_t = column(finish_t, np.int64)
+        self.finish_cell = column(finish_cell, np.int64)
+        self.reward = column(reward, float)
+        self.duration = column(duration, np.int64)
         self._bounds = None
 
     def __len__(self) -> int:
@@ -206,34 +223,48 @@ class TupleArrays:
         return slice(int(b[t]), int(b[t + 1]))
 
 
-BufferLike = Union[TupleArrays, Sequence[TransitionTuple]]
+BufferLike = Union[TupleArrays, Sequence[TupleArrays], Sequence[TransitionTuple]]
+
+
+def as_parts(buffer: BufferLike) -> List[TupleArrays]:
+    """The buffer as a list of parts, each sorted by start time.
+
+    A `TupleArrays` is one part and a sequence of them is a list of parts;
+    a sequence of `TransitionTuple` becomes one part. An empty buffer is [].
+    """
+    if isinstance(buffer, TupleArrays):
+        return [buffer]
+    if all(isinstance(part, TupleArrays) for part in buffer):
+        return list(buffer)
+    return [TupleArrays.from_tuples(buffer)]
 
 
 def as_arrays(buffer: BufferLike) -> TupleArrays:
-    if isinstance(buffer, TupleArrays):
-        return buffer
-    return TupleArrays.from_tuples(buffer)
+    """The buffer as one `TupleArrays`: its parts merged, stably by start time."""
+    parts = as_parts(buffer)
+    return parts[0] if len(parts) == 1 else TupleArrays.concat(parts)
 
 
 def backup_start(
     buffer: BufferLike, world: GridWorld, init: Optional[ValueTable] = None
-) -> Tuple[TupleArrays, np.ndarray]:
-    """The tuple arrays and the starting table of a backward pass.
+) -> Tuple[List[TupleArrays], np.ndarray]:
+    """The parts of the buffer and the starting table of a backward pass.
 
     The table is a copy of `init` (zero when it is None) with the terminal
     row zeroed. A table of the wrong shape, a tuple outside the world's
     times and cells, or one that does not move forward in time raises
     ValueError.
     """
-    arr = as_arrays(buffer)
+    parts = as_parts(buffer)
     T, n = world.horizon, world.n_cells
     ends = {"start_t": T, "start_cell": n, "finish_t": T + 1, "finish_cell": n}
-    for name, end in ends.items():
-        column = getattr(arr, name)
-        if column.min(initial=0) < 0 or column.max(initial=0) >= end:
-            raise ValueError(f"tuple column {name} has a value outside [0, {end})")
-    if np.any(arr.finish_t <= arr.start_t):
-        raise ValueError("all tuples must satisfy finish.t > start.t")
+    for arr in parts:
+        for name, end in ends.items():
+            column = getattr(arr, name)
+            if column.min(initial=0) < 0 or column.max(initial=0) >= end:
+                raise ValueError(f"tuple column {name} has a value outside [0, {end})")
+        if np.any(arr.finish_t <= arr.start_t):
+            raise ValueError("all tuples must satisfy finish.t > start.t")
     if init is None:
         values = np.zeros((T + 1, n))
     else:
@@ -243,23 +274,37 @@ def backup_start(
             )
         values = init.values.copy()
         values[T, :] = 0.0
-    return arr, values
+    return parts, values
 
 
 def td_slice(
-    arr: TupleArrays, t: int, values: np.ndarray, gamma: float
+    parts: Sequence[TupleArrays], t: int, values: np.ndarray, gamma: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cells and backup targets for the tuples starting at time t.
 
     Later-time rows of `values` must already be final; each target is
     gamma^duration * V(finish) + discounted reward. This is the one backup
     target of dp_evaluate, td_evaluate and transfer_evaluate.
+
+    The rows come part by part, each part in its own order: the order of
+    slice t of the stable start-time sort of all parts joined, so the
+    result equals the slice of `TupleArrays.concat(parts)` bit for bit.
     """
-    sl = arr.slice_at(t)
-    cells = arr.start_cell[sl]
-    duration = arr.duration[sl]
-    discount = discount_table(gamma, int(duration.max(initial=0)) + 1).take(duration)
-    targets = discount * values[arr.finish_t[sl], arr.finish_cell[sl]] + arr.reward[sl]
+    slices = [(arr, arr.slice_at(t)) for arr in parts]
+    slices = [(arr, sl) for arr, sl in slices if sl.stop > sl.start]
+    if not slices:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+
+    def column(name):
+        if len(slices) == 1:
+            arr, sl = slices[0]
+            return getattr(arr, name)[sl]  # a view: one part has rows at t
+        return np.concatenate([getattr(arr, name)[sl] for arr, sl in slices])
+
+    cells = column("start_cell")
+    duration = column("duration")
+    discount = discount_table(gamma, int(duration.max()) + 1).take(duration)
+    targets = discount * values[column("finish_t"), column("finish_cell")] + column("reward")
     return cells, targets
 
 

@@ -14,7 +14,7 @@ from dispatchlab import (
     repeat_single_day,
     run_experiment,
 )
-from dispatchlab.valuation import TupleArrays
+from dispatchlab.valuation import TupleArrays, as_arrays
 
 from conftest import make_world, random_buffer
 
@@ -123,9 +123,10 @@ class TestBuffer:
     COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
 
     def assert_same(self, got, parts):
-        want = TupleArrays.concat(parts)
+        assert all(a is b for a, b in zip(got, parts)) and len(got) == len(parts)
+        merged, want = as_arrays(got), TupleArrays.concat(parts)
         for name in self.COLUMNS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(getattr(merged, name), getattr(want, name)), name
 
     def test_merged_views_equal_concat_of_parts(self):
         world = make_world(4, 8)
@@ -134,14 +135,11 @@ class TestBuffer:
         buffer = Buffer(source_days=[day(), day()])
         self.assert_same(buffer.source_arrays(), buffer.source_days)
         self.assert_same(buffer.all_arrays(), buffer.source_days)
-        assert len(buffer.target_arrays()) == 0
+        assert buffer.target_arrays() == []
         for _ in range(4):
             buffer.add_target_day(day())
             self.assert_same(buffer.target_arrays(), buffer.target_days)
             self.assert_same(buffer.all_arrays(), buffer.source_days + buffer.target_days)
-        # the fixed source days are concatenated once, then reused
-        assert buffer.source_arrays() is buffer.source_arrays()
-        # a list edited in place is merged afresh, not extended
         buffer.target_days = buffer.target_days[1:]
         self.assert_same(buffer.target_arrays(), buffer.target_days)
         self.assert_same(buffer.all_arrays(), buffer.source_days + buffer.target_days)

@@ -7,7 +7,9 @@ cancellations on. Its `per_day.csv` and `summary.csv` are committed as
 change that moves any simulated number fails here; if the move is intended,
 regenerate the files with `dispatchlab simulate --config tests/data/pinned.yaml`
 and `dispatchlab repeat-day --config tests/data/pinned.yaml --repetitions 3`,
-and say why the numbers moved.
+and say why the numbers moved. `data/pinned_long_trips.yaml` is a second
+manifest whose trips last up to 15 windows, with its CSVs committed as
+`data/pinned_long_trips_per_day.csv` and `data/pinned_long_trips_summary.csv`.
 """
 import os
 import subprocess
@@ -30,6 +32,18 @@ def test_pinned_manifest_reruns_byte_identical(tmp_path):
     assert result.exit_code == 0, result.output
     for name in ("per_day.csv", "summary.csv"):
         assert (out / name).read_bytes() == (DATA / f"pinned_{name}").read_bytes(), name
+
+
+def test_long_trip_manifest_reruns_byte_identical(tmp_path):
+    """Trips of 12 or more windows read gamma ** k where numpy's array power
+    differs from Python's, which the small pinned grid never reaches."""
+    out = tmp_path / "pinned"
+    config = DATA / "pinned_long_trips.yaml"
+    result = CliRunner().invoke(main, ["simulate", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    for name in ("per_day.csv", "summary.csv"):
+        golden = DATA / f"pinned_long_trips_{name}"
+        assert (out / name).read_bytes() == golden.read_bytes(), name
 
 
 def test_pinned_manifest_is_byte_identical_without_avx512(tmp_path):

@@ -314,7 +314,7 @@ class TestInteriorPoint:
         values = source.v_src.values
         slices = []
         for t in (10, 49, 88, 127):
-            cells, targets = td_slice(source.days[0], t, values, 0.9)
+            cells, targets = td_slice([source.days[0]], t, values, 0.9)
             slices.append((cells, targets, values[t], 0.8 * values[t]))
         return sc.optimizer_settings(), sc.concordance_spec(source.v_src), slices
 

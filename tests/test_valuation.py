@@ -19,9 +19,11 @@ from dispatchlab import (
     transfer_evaluate,
     truncated_discounted_reward,
 )
-from dispatchlab.valuation import discount_table, served_transition, td_slice
+from dispatchlab.valuation import backup_start, discount_table, served_transition, td_slice
 
 from conftest import make_world, random_buffer
+
+TUPLE_COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
 
 
 def reference_dp(tuples, T, n, gamma, init=None):
@@ -196,6 +198,21 @@ class TestTupleArrays:
     def test_concat_empty(self):
         assert len(TupleArrays.concat([])) == 0
 
+    @pytest.mark.parametrize(
+        "start_t", [[0, 0, 1, 2, 2], [2, 0, 2, 1, 0]], ids=["sorted", "unsorted"]
+    )
+    def test_stable_sorted_copy_of_its_columns(self, start_t):
+        start_t = np.array(start_t)
+        reward = np.arange(5.0)
+        zeros, ones = np.zeros(5, np.int64), np.ones(5, np.int64)
+        cols = (start_t, np.arange(5), start_t + 1, zeros, reward, ones)
+        arr = TupleArrays(*cols)
+        order = np.argsort(start_t, kind="stable")
+        assert np.array_equal(arr.start_t, start_t[order])
+        assert np.array_equal(arr.reward, reward[order])
+        for name, col in zip(TUPLE_COLUMNS, cols):
+            assert not np.shares_memory(getattr(arr, name), col), name
+
 
 class TestDpEvaluate:
     def test_empty_buffer_all_zero(self):
@@ -262,13 +279,20 @@ class TestTdSlice:
             np.full(60, 3), rng.integers(0, 4, 60), 3 + duration, finish_cell, reward, duration
         )
         values = rng.random((71, 4)) * 12
-        cells, targets = td_slice(arr, 3, values, gamma)
+        cells, targets = td_slice([arr], 3, values, gamma)
         assert np.array_equal(cells, arr.start_cell)
         want = [
             gamma**d * values[3 + d, c] + r
             for d, c, r in zip(duration.tolist(), finish_cell.tolist(), reward.tolist())
         ]
         assert targets.tolist() == want
+
+
+    def test_discount_table_is_built_once_and_read_only(self):
+        table = discount_table(0.9, 30)
+        assert table is discount_table(0.9, 30)
+        assert not table.flags.writeable
+        assert table.tolist() == [0.9**k for k in range(30)]
 
 
 class TestTdEvaluate:
@@ -384,3 +408,65 @@ class TestQValue:
         # pickup ends at t=4; only one installment fits before T=5
         expected = 0.9**2 * truncated_discounted_reward(10.0, 4, 0.9, 1)
         assert q_value(table, driver, order, 0.9, world) == pytest.approx(expected)
+
+
+def transfer_toward_random_source(buffer, world, gamma):
+    """transfer_evaluate with an active hinge: a random source table, every pair of 4 cells."""
+    rng = np.random.default_rng(3)
+    values = np.vstack([rng.random((world.horizon, world.n_cells)) * 5, np.zeros(world.n_cells)])
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    spec = ConcordanceSpec(pairs=pairs, lam=2.0)
+    return transfer_evaluate(buffer, ValueTable(values, gamma), spec, world, gamma)
+
+
+class TestDayParts:
+    """A buffer given as day parts backs up exactly as the parts merged into one."""
+
+    WORLD = make_world(5, 10)
+    SIZES = {
+        "no_parts": [],
+        "one_part": [80],
+        "interleaved": [60, 45, 70],
+        "empty_part": [50, 0, 40],
+    }
+
+    def parts(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        return [TupleArrays.from_tuples(random_buffer(rng, self.WORLD, k)) for k in sizes]
+
+    @pytest.mark.parametrize("sizes", list(SIZES.values()), ids=list(SIZES))
+    def test_slices_equal_slices_of_concat(self, sizes):
+        parts = self.parts(sizes)
+        merged = [TupleArrays.concat(parts)]
+        values = np.random.default_rng(9).random((self.WORLD.horizon + 1, self.WORLD.n_cells))
+        for t in range(self.WORLD.horizon):
+            got = td_slice(parts, t, values, 0.9)
+            want = td_slice(merged, t, values, 0.9)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("evaluate", [dp_evaluate, td_evaluate, transfer_toward_random_source])
+    @pytest.mark.parametrize("sizes", list(SIZES.values()), ids=list(SIZES))
+    def test_evaluators_equal_on_concat(self, evaluate, sizes):
+        parts = self.parts(sizes)
+        got = evaluate(parts, self.WORLD, 0.9).values
+        want = evaluate(TupleArrays.concat(parts), self.WORLD, 0.9).values
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "bad,column",
+        [
+            (TransitionTuple(State(0, 0), None, 1.0, State(1, 5), 1), "tuple column finish_cell"),
+            (TransitionTuple(State(10, 0), None, 1.0, State(11, 0), 1), "tuple column start_t"),
+            (TransitionTuple(State(3, 0), None, 1.0, State(3, 0), 1), "finish.t"),
+        ],
+        ids=["finish_cell", "start_t", "not_advancing"],
+    )
+    def test_rejects_bad_tuple_in_last_part_only(self, bad, column):
+        parts = self.parts([30, 30]) + [TupleArrays.from_tuples([bad])]
+        backup_start(parts[:-1], self.WORLD)
+        with pytest.raises(ValueError, match=column):
+            backup_start(parts, self.WORLD)
+
+    def test_empty_buffer_has_no_parts(self):
+        assert backup_start([], self.WORLD)[0] == []
