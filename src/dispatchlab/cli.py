@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 import click
 
-from .gpi import PolicyKind, prepare_source, repeat_single_day, run_experiment
+from .gpi import prepare_source, repeat_single_day, run_experiment
 from .reporting import (
     PER_DAY_HEADER,
     REPEAT_HEADER,
@@ -64,28 +64,22 @@ def _int_or_text(text: str):
 
 
 def _run_group(args) -> Dict[Tuple[str, float, float, int], list]:
-    """One worker unit: all (policy, lambda) cells for a (gamma, seed) pair.
-
-    A policy that does not use lambda runs once; its rows fill every lambda.
-    """
+    """One worker unit: all (policy, lambda) cells for a (gamma, seed) pair."""
     manifest, gamma, seed, mode = args
     cfg = ExperimentConfig.from_dict(manifest)
     source = prepare_source(cfg.scenario, gamma, seed)
-    runs: Dict[Tuple[PolicyKind, Optional[float]], list] = {}
     out: Dict[Tuple[str, float, float, int], list] = {}
     for lam in cfg.lambdas:
         for kind in cfg.policies:
-            run = (kind, lam if kind.uses_lambda else None)
-            if run not in runs:
-                if mode == "simulate":
-                    runs[run] = run_experiment(
-                        cfg.scenario, kind, cfg.days, gamma, seed, lam=lam, source=source
-                    )
-                else:
-                    runs[run] = repeat_single_day(
-                        cfg.scenario, kind, cfg.repetitions, gamma, seed, lam=lam, source=source
-                    )
-            out[(kind.value, gamma, lam, seed)] = runs[run]
+            if mode == "simulate":
+                rows = run_experiment(
+                    cfg.scenario, kind, cfg.days, gamma, seed, lam=lam, source=source
+                )
+            else:
+                rows = repeat_single_day(
+                    cfg.scenario, kind, cfg.repetitions, gamma, seed, lam=lam, source=source
+                )
+            out[(kind.value, gamma, lam, seed)] = rows
     return out
 
 

@@ -29,11 +29,6 @@ class PolicyKind(enum.Enum):
     NAIVELY_COMBINE = "naively_combine"
     PATTERN_TRANSFER = "pattern_transfer"
 
-    @property
-    def uses_lambda(self) -> bool:
-        """Whether the concordance weight lambda enters this policy's tables."""
-        return self is PolicyKind.PATTERN_TRANSFER
-
 
 @dataclass
 class Buffer:

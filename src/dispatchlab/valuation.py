@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -40,18 +39,13 @@ def truncated_discounted_reward(
     return per_step * (1.0 - gamma**paid) / (1.0 - gamma)
 
 
-@functools.lru_cache(maxsize=256)
 def discount_table(gamma: float, n: int) -> np.ndarray:
     """gamma ** k for k < n, by Python's float power: the factors of
     `truncated_discounted_reward` on every numpy build (numpy's AVX-512 array
     power rounds 0.9 ** 12 and 0.9 ** 23 differently). Every discount of the
     simulator, the matcher and the backup is read from such a table.
-
-    Each (gamma, n) table is built once and shared, so it is read-only.
     """
-    table = np.array([gamma**k for k in range(n)])
-    table.flags.writeable = False
-    return table
+    return np.array([gamma**k for k in range(n)])
 
 
 def served_transition(
@@ -155,24 +149,13 @@ class TupleArrays:
     __slots__ = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration", "_bounds")
 
     def __init__(self, start_t, start_cell, finish_t, finish_cell, reward, duration):
-        start_t = np.asarray(start_t, dtype=np.int64)
-        # every window and day the simulator makes is sorted already, and a
-        # stable sort leaves a sorted column as it is
-        order = None
-        if np.any(start_t[1:] < start_t[:-1]):
-            order = np.argsort(start_t, kind="stable")
-
-        def column(values, dtype):
-            if order is None:
-                return np.array(values, dtype=dtype)  # a copy: never alias the input
-            return np.asarray(values, dtype=dtype)[order]
-
-        self.start_t = column(start_t, np.int64)
-        self.start_cell = column(start_cell, np.int64)
-        self.finish_t = column(finish_t, np.int64)
-        self.finish_cell = column(finish_cell, np.int64)
-        self.reward = column(reward, float)
-        self.duration = column(duration, np.int64)
+        order = np.argsort(start_t, kind="stable")
+        self.start_t = np.asarray(start_t, dtype=np.int64)[order]
+        self.start_cell = np.asarray(start_cell, dtype=np.int64)[order]
+        self.finish_t = np.asarray(finish_t, dtype=np.int64)[order]
+        self.finish_cell = np.asarray(finish_cell, dtype=np.int64)[order]
+        self.reward = np.asarray(reward, dtype=float)[order]
+        self.duration = np.asarray(duration, dtype=np.int64)[order]
         self._bounds = None
 
     def __len__(self) -> int:

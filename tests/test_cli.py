@@ -1,21 +1,10 @@
-import collections
-
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from dispatchlab import ValueTable, cli, prepare_source, run_experiment
+from dispatchlab import ValueTable
 from dispatchlab.cli import main
-from dispatchlab.reporting import (
-    PER_DAY_HEADER,
-    POLICY_ORDER,
-    SUMMARY_HEADER,
-    ExperimentConfig,
-    per_day_rows,
-    summary_rows,
-    write_csv,
-)
 
 
 MICRO_SCENARIO = {
@@ -129,39 +118,6 @@ class TestSimulate:
         assert r2.exit_code == 0, r2.output
         for name in ("per_day.csv", "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_lambda_grid_runs_each_lambda_free_policy_once(self, tmp_path, monkeypatch):
-        lambdas = [0.5, 2.0]
-        cfg = write_config(tmp_path, policies=POLICY_ORDER, lambdas=lambdas, seeds=[0, 1])
-        calls = collections.Counter()
-
-        def counted(scenario, kind, *args, **kwargs):
-            calls[kind.value] += 1
-            return run_experiment(scenario, kind, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "run_experiment", counted)
-        out = tmp_path / "out"
-        result = CliRunner().invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        # per seed: once for each policy that ignores lambda, once per lambda otherwise
-        runs = {p: len(lambdas) if p == "pattern_transfer" else 1 for p in POLICY_ORDER}
-        assert calls == {p: 2 * n for p, n in runs.items()}
-
-        # the files equal those of one run per (policy, lambda) cell
-        config = ExperimentConfig.load(cfg)
-        results = {}
-        for seed in config.seeds:
-            source = prepare_source(config.scenario, 0.9, seed)
-            for lam in lambdas:
-                for kind in config.policies:
-                    results[(kind.value, 0.9, lam, seed)] = run_experiment(
-                        config.scenario, kind, config.days, 0.9, seed, lam=lam, source=source
-                    )
-        name = config.scenario.name
-        write_csv(tmp_path / "per_day.csv", PER_DAY_HEADER, per_day_rows(name, results))
-        write_csv(tmp_path / "summary.csv", SUMMARY_HEADER, summary_rows(name, results))
-        for csv_name in ("per_day.csv", "summary.csv"):
-            assert (out / csv_name).read_bytes() == (tmp_path / csv_name).read_bytes(), csv_name
 
     def test_malformed_config_fails_with_diagnostic(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -288,13 +288,6 @@ class TestTdSlice:
         assert targets.tolist() == want
 
 
-    def test_discount_table_is_built_once_and_read_only(self):
-        table = discount_table(0.9, 30)
-        assert table is discount_table(0.9, 30)
-        assert not table.flags.writeable
-        assert table.tolist() == [0.9**k for k in range(30)]
-
-
 class TestTdEvaluate:
     def test_empty_buffer_all_zero(self):
         world = make_world(3, 5)
