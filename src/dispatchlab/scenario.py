@@ -80,12 +80,6 @@ SCENARIO_SCHEMA = {
                     "minItems": 2,
                     "maxItems": 2,
                 },
-                "hot_ramp": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
             },
         },
         "transfer": {
@@ -231,11 +225,7 @@ class Scenario:
     def build_world(self) -> GridWorld:
         return GridWorld.lattice(self.rows, self.cols, self.horizon)
 
-    def _base_rates(
-        self,
-        block_shift: Tuple[int, int] = (0, 0),
-        hot_ramp: Optional[Tuple[float, float]] = None,
-    ) -> np.ndarray:
+    def _base_rates(self, block_shift: Tuple[int, int] = (0, 0)) -> np.ndarray:
         d = self.raw["demand"]
         r0, c0, r1, c1 = d["hot_block"]
         dr, dc = block_shift
@@ -246,16 +236,6 @@ class Scenario:
         if not hot.any():
             raise ScenarioError("demand.hot_block selects no cells")
         base[hot] = float(d["hot_rate"])
-        if hot_ramp is not None:
-            # tilt rates across the hot block (diagonal ramp, mean preserved)
-            lo, hi = float(hot_ramp[0]), float(hot_ramp[1])
-            pos = (rr[hot] + cc[hot]).astype(float)
-            span = pos.max() - pos.min()
-            if span == 0:
-                ramp = np.full(pos.shape, (lo + hi) / 2.0)
-            else:
-                ramp = lo + (hi - lo) * (pos - pos.min()) / span
-            base[hot] *= ramp / ramp.mean()
         return base
 
     def _time_profile(self, peak_shift: float = 0.0) -> np.ndarray:
@@ -309,11 +289,7 @@ class Scenario:
 
     def build_target_model(self) -> DemandModel:
         shift = self.raw.get("target_shift", {})
-        ramp = shift.get("hot_ramp")
-        base = self._base_rates(
-            tuple(shift.get("block_shift", (0, 0))),
-            hot_ramp=tuple(ramp) if ramp is not None else None,
-        )
+        base = self._base_rates(tuple(shift.get("block_shift", (0, 0))))
         scaled = shift.get("rate_scale", 1.0) * base + shift.get("rate_offset", 0.0)
         return self._build_model(scaled, peak_shift=shift.get("peak_shift", 0.0))
 

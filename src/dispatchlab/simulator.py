@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .valuation import TupleArrays, discount_table, served_transition
+from .valuation import INDEX_DTYPE, TupleArrays, discount_table, served_transition
 from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, OrderBatch
 
 # A policy maps (drivers, orders, t) to one entry per driver: the index of
@@ -253,10 +253,12 @@ def apply_matching(
     ko = k[serve]
     if ko.size and (ko.max() >= len(orders) or np.bincount(ko).max() > 1):
         raise ConstraintViolation("an order is assigned to two drivers or does not exist")
-    finish_t = np.full(m, t + 1, dtype=np.int64)
-    finish_cell = drivers.cell.copy()
+    # the index columns are built as INDEX_DTYPE, so TupleArrays converts nothing
+    start_cell = drivers.cell.astype(INDEX_DTYPE)
+    finish_t = np.full(m, t + 1, dtype=INDEX_DTYPE)
+    finish_cell = start_cell.copy()
     reward = np.zeros(m)
-    duration = np.ones(m, dtype=np.int64)
+    duration = np.ones(m, dtype=INDEX_DTYPE)
     if ko.size:
         pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[ko]]
         trip = orders.duration[ko]
@@ -265,8 +267,8 @@ def apply_matching(
             t, pickup, trip, orders.revenue[ko], T, gamma, powers
         )
         finish_cell[serve] = orders.destination[ko]
-    start_t = np.full(m, t, dtype=np.int64)
-    return TupleArrays(start_t, drivers.cell, finish_t, finish_cell, reward, duration)
+    start_t = np.full(m, t, dtype=INDEX_DTYPE)
+    return TupleArrays(start_t, start_cell, finish_t, finish_cell, reward, duration)
 
 
 def run_day(

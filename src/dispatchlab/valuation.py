@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -115,15 +116,22 @@ class ValueTable:
         """Read a table written by `save_csv`: one (t, cell, value) row per entry.
 
         The shape is (largest t + 1, largest cell + 1); every entry of it must
-        be listed exactly once.
+        be listed exactly once, with a finite value.
         """
+
+        def finite(text: str) -> float:
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(f"value {text!r} is not finite")
+            return value
+
         with open(path, newline="", encoding="utf-8") as f:
             r = csv.reader(f)
             header = next(r, None)
             if header != ["t", "cell", "value"]:
                 raise ValueError(f"unexpected value-table header: {header}")
             try:
-                rows = [(int(t), int(c), float(v)) for t, c, v in r]
+                rows = [(int(t), int(c), finite(v)) for t, c, v in r]
             except ValueError as e:
                 raise ValueError(f"value table line {r.line_num}: {e}") from e
         if not rows:
@@ -143,19 +151,42 @@ class ValueTable:
         return cls(values, gamma)
 
 
+# dtype of the five index columns of a TupleArrays; times, cells and durations
+# stay below the horizon or the cell count, far inside its range
+INDEX_DTYPE = np.int32
+_INDEX_RANGE = np.iinfo(INDEX_DTYPE)
+
+
+def _index_column(values, name: str) -> np.ndarray:
+    """`values` as an INDEX_DTYPE array. A value outside that dtype's range
+    raises ValueError, where a cast would wrap it around to another index."""
+    column = np.asarray(values)
+    if column.dtype == INDEX_DTYPE:
+        return column
+    lo, hi = _INDEX_RANGE.min, _INDEX_RANGE.max
+    if column.size and (column.min() < lo or column.max() > hi):
+        raise ValueError(f"tuple column {name} has a value outside [{lo}, {hi}]")
+    return column.astype(INDEX_DTYPE)
+
+
 class TupleArrays:
-    """Columnar copy of a transition buffer, stably sorted by start time."""
+    """Columnar copy of a transition buffer, stably sorted by start time.
+
+    Each row is one transition: `start_t`, `start_cell`, `finish_t`,
+    `finish_cell` and `duration` as INDEX_DTYPE, `reward` as float64.
+    """
 
     __slots__ = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration", "_bounds")
 
     def __init__(self, start_t, start_cell, finish_t, finish_cell, reward, duration):
+        start_t = _index_column(start_t, "start_t")
         order = np.argsort(start_t, kind="stable")
-        self.start_t = np.asarray(start_t, dtype=np.int64)[order]
-        self.start_cell = np.asarray(start_cell, dtype=np.int64)[order]
-        self.finish_t = np.asarray(finish_t, dtype=np.int64)[order]
-        self.finish_cell = np.asarray(finish_cell, dtype=np.int64)[order]
+        self.start_t = start_t[order]
+        self.start_cell = _index_column(start_cell, "start_cell")[order]
+        self.finish_t = _index_column(finish_t, "finish_t")[order]
+        self.finish_cell = _index_column(finish_cell, "finish_cell")[order]
         self.reward = np.asarray(reward, dtype=float)[order]
-        self.duration = np.asarray(duration, dtype=np.int64)[order]
+        self.duration = _index_column(duration, "duration")[order]
         self._bounds = None
 
     def __len__(self) -> int:
@@ -163,21 +194,12 @@ class TupleArrays:
 
     @classmethod
     def from_tuples(cls, tuples: Sequence[TransitionTuple]) -> "TupleArrays":
-        n = len(tuples)
-        start_t = np.empty(n, dtype=np.int64)
-        start_cell = np.empty(n, dtype=np.int64)
-        finish_t = np.empty(n, dtype=np.int64)
-        finish_cell = np.empty(n, dtype=np.int64)
-        reward = np.empty(n, dtype=float)
-        duration = np.empty(n, dtype=np.int64)
-        for j, tr in enumerate(tuples):
-            start_t[j] = tr.start.t
-            start_cell[j] = tr.start.cell
-            finish_t[j] = tr.finish.t
-            finish_cell[j] = tr.finish.cell
-            reward[j] = tr.reward_discounted
-            duration[j] = tr.duration
-        return cls(start_t, start_cell, finish_t, finish_cell, reward, duration)
+        rows = [
+            (tr.start.t, tr.start.cell, tr.finish.t, tr.finish.cell, tr.reward_discounted, tr.duration)
+            for tr in tuples
+        ]
+        # the constructor range-checks the Python ints as it builds the columns
+        return cls(*(list(zip(*rows)) or [()] * 6))
 
     @classmethod
     def concat(cls, parts: Iterable["TupleArrays"]) -> "TupleArrays":
@@ -276,7 +298,7 @@ def td_slice(
     slices = [(arr, arr.slice_at(t)) for arr in parts]
     slices = [(arr, sl) for arr, sl in slices if sl.stop > sl.start]
     if not slices:
-        return np.empty(0, dtype=np.int64), np.empty(0)
+        return np.empty(0, dtype=np.intp), np.empty(0)
 
     def column(name):
         if len(slices) == 1:
@@ -284,7 +306,9 @@ def td_slice(
             return getattr(arr, name)[sl]  # a view: one part has rows at t
         return np.concatenate([getattr(arr, name)[sl] for arr, sl in slices])
 
-    cells = column("start_cell")
+    # cast once: the callers gather by cell several times per slice, and numpy
+    # gathers about 3x slower by int32 indices than by intp ones
+    cells = column("start_cell").astype(np.intp)
     duration = column("duration")
     discount = discount_table(gamma, int(duration.max()) + 1).take(duration)
     targets = discount * values[column("finish_t"), column("finish_cell")] + column("reward")

@@ -33,13 +33,7 @@ class GridWorld:
     order's origin cell takes 0 windows.
     """
 
-    def __init__(
-        self,
-        n_cells: int,
-        horizon: int,
-        travel_time: np.ndarray,
-        cell_tags: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, n_cells: int, horizon: int, travel_time: np.ndarray):
         if n_cells < 2:
             raise ValueError(f"n_cells must be >= 2, got {n_cells}")
         if horizon < 2:
@@ -54,7 +48,6 @@ class GridWorld:
         self.n_cells = n_cells
         self.horizon = horizon
         self.travel_time = tt.astype(np.int64)
-        self.cell_tags = list(cell_tags) if cell_tags is not None else None
         # travel_time with a zero diagonal, for vectorized pickup lookups
         pickup = self.travel_time.copy()
         np.fill_diagonal(pickup, 0)
@@ -68,13 +61,13 @@ class GridWorld:
         return int(self.travel_time[from_cell, to_cell])
 
     @classmethod
-    def lattice(cls, rows: int, cols: int, horizon: int, steps_per_cell: int = 1):
+    def lattice(cls, rows: int, cols: int, horizon: int):
         """Build an L1-distance lattice world; in-cell trips take one window."""
         n = rows * cols
         r = np.arange(n) // cols
         c = np.arange(n) % cols
         dist = np.abs(r[:, None] - r[None, :]) + np.abs(c[:, None] - c[None, :])
-        tt = np.maximum(1, dist * steps_per_cell)
+        tt = np.maximum(1, dist)
         return cls(n, horizon, tt)
 
 

@@ -62,6 +62,13 @@ def random_buffer(rng, world, n_tuples, reward_scale=1.0):
     return tuples
 
 
+def assert_tuple_dtypes(arr):
+    """A TupleArrays keeps its five index columns in 32 bits and its reward in float64."""
+    for name in ("start_t", "start_cell", "finish_t", "finish_cell", "duration"):
+        assert getattr(arr, name).dtype == np.int32, name
+    assert arr.reward.dtype == np.float64
+
+
 def grid_search_oracle(cells, targets, v_src, spec, lo, hi, res=1e-3):
     """Exhaustive 2-cell minimization of the penalized objective on a lattice."""
     axis = np.arange(lo, hi + res, res)

@@ -216,6 +216,17 @@ class TestConcordance:
         assert "target table" in result.output
         assert "could not convert string to float" in result.output
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_value_fails_cleanly(self, tmp_path, text):
+        # a NaN difference is never discordant, so an all-NaN table read as rate 1.0
+        good = self.table_text(np.zeros((11, 4)).tolist())
+        bad = good.replace("0.0", text)
+        result = self.run_concordance(tmp_path, good, bad)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "target table" in result.output
+        assert f"value table line 2: value '{text}' is not finite" in result.output
+
     def test_nonzero_terminal_row_fails_cleanly(self, tmp_path):
         vals = np.zeros((11, 4))
         vals[-1, 2] = 1.5

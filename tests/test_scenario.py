@@ -29,6 +29,12 @@ class TestValidation:
             with pytest.raises(ScenarioError, match=f"'{key}' was unexpected"):
                 Scenario.from_dict(raw)
 
+    def test_retired_hot_ramp_rejected(self):
+        # target_shift.hot_ramp tilted rates across the hot block; nothing used it
+        raw = minimal_raw(target_shift={"rate_scale": 1.5, "hot_ramp": [0.5, 1.5]})
+        with pytest.raises(ScenarioError, match="'target_shift'.*'hot_ramp' was unexpected"):
+            Scenario.from_dict(raw)
+
     def test_missing_required_field(self):
         raw = minimal_raw()
         del raw["horizon"]

@@ -16,6 +16,8 @@ from dispatchlab import (
 )
 from dispatchlab.simulator import DayStreams, window_rng
 
+from conftest import assert_tuple_dtypes
+
 ORDER_COLUMNS = ("origin", "destination", "revenue", "duration")
 TUPLE_COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
 
@@ -153,12 +155,14 @@ class TestApplyMatching:
         drivers, orders = DriverBatch([0], [cell], t), OrderBatch.from_requests([order], t)
         arr = apply_matching(drivers, orders, [0], gamma, self.world)
         assert len(arr) == 1
+        assert_tuple_dtypes(arr)
         return arr
 
     def test_idle_advances_one_window(self):
         drivers = DriverBatch([0], [0], 3)
         arr = apply_matching(drivers, OrderBatch.empty(3), [None], 0.9, self.world)
         assert_all_idle(arr)
+        assert_tuple_dtypes(arr)
         assert (arr.start_t[0], arr.start_cell[0]) == (3, 0)
         assert (arr.finish_t[0], arr.finish_cell[0]) == (4, 0)
         assert arr.reward[0] == 0.0
@@ -236,6 +240,7 @@ class TestRunDay:
         world = GridWorld.lattice(2, 2, 12)
         model = flat_model(world, 0.8, driver_counts=np.array([2, 1, 0, 0]))
         tuples, _ = run_day(world, model, greedy_for(world, 0.9), 0.9, seed=3)
+        assert_tuple_dtypes(tuples)
         covered = int(tuples.duration.sum())
         # each driver's tuples tile [0, T) except a possible truncated tail
         assert covered >= 3 * world.horizon - 3 * int(tuples.duration.max())

@@ -21,7 +21,7 @@ from dispatchlab import (
 )
 from dispatchlab.valuation import backup_start, discount_table, served_transition, td_slice
 
-from conftest import make_world, random_buffer
+from conftest import assert_tuple_dtypes, make_world, random_buffer
 
 TUPLE_COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
 
@@ -171,6 +171,7 @@ class TestTupleArrays:
         world = make_world(3, 6)
         tuples = random_buffer(np.random.default_rng(0), world, 40)
         arr = TupleArrays.from_tuples(tuples)
+        assert_tuple_dtypes(arr)
         for t in range(world.horizon):
             sl = arr.slice_at(t)
             expected = sorted(
@@ -181,6 +182,7 @@ class TestTupleArrays:
     def test_empty_buffer(self):
         arr = TupleArrays.from_tuples([])
         assert len(arr) == 0
+        assert_tuple_dtypes(arr)
         assert arr.slice_at(0) == slice(0, 0)
 
     def test_concat_matches_union(self):
@@ -192,26 +194,45 @@ class TestTupleArrays:
             [TupleArrays.from_tuples(a), TupleArrays.from_tuples(b)]
         )
         direct = TupleArrays.from_tuples(a + b)
+        assert_tuple_dtypes(merged)
         assert len(merged) == len(direct)
         assert sorted(merged.reward) == pytest.approx(sorted(direct.reward))
 
     def test_concat_empty(self):
-        assert len(TupleArrays.concat([])) == 0
+        arr = TupleArrays.concat([])
+        assert len(arr) == 0
+        assert_tuple_dtypes(arr)
 
     @pytest.mark.parametrize(
-        "start_t", [[0, 0, 1, 2, 2], [2, 0, 2, 1, 0]], ids=["sorted", "unsorted"]
+        "start_t,dtype",
+        [([0, 0, 1, 2, 2], np.int64), ([2, 0, 2, 1, 0], np.int64), ([2, 0, 2, 1, 0], np.int32)],
+        ids=["sorted", "unsorted", "unsorted_int32"],
     )
-    def test_stable_sorted_copy_of_its_columns(self, start_t):
-        start_t = np.array(start_t)
+    def test_stable_sorted_copy_of_its_columns(self, start_t, dtype):
+        start_t = np.array(start_t, dtype)
         reward = np.arange(5.0)
-        zeros, ones = np.zeros(5, np.int64), np.ones(5, np.int64)
-        cols = (start_t, np.arange(5), start_t + 1, zeros, reward, ones)
+        zeros, ones = np.zeros(5, dtype), np.ones(5, dtype)
+        cols = (start_t, np.arange(5, dtype=dtype), start_t + 1, zeros, reward, ones)
         arr = TupleArrays(*cols)
+        assert_tuple_dtypes(arr)
         order = np.argsort(start_t, kind="stable")
-        assert np.array_equal(arr.start_t, start_t[order])
-        assert np.array_equal(arr.reward, reward[order])
+        want = [col[order].copy() for col in cols]
         for name, col in zip(TUPLE_COLUMNS, cols):
             assert not np.shares_memory(getattr(arr, name), col), name
+            col += 7  # editing an input afterwards leaves the buffer as it was
+        for name, col in zip(TUPLE_COLUMNS, want):
+            assert np.array_equal(getattr(arr, name), col), name
+
+    @pytest.mark.parametrize("value", [2**32 + 3, 2**31, -(2**31) - 1])
+    @pytest.mark.parametrize(
+        "column", ["start_t", "start_cell", "finish_t", "finish_cell", "duration"]
+    )
+    def test_rejects_index_outside_int32(self, column, value):
+        cols = {name: np.zeros(3, np.int64) for name in TUPLE_COLUMNS}
+        cols["reward"] = np.zeros(3)
+        cols[column] = np.array([0, value, 1])
+        with pytest.raises(ValueError, match=f"tuple column {column} has a value outside"):
+            TupleArrays(**cols)
 
 
 class TestDpEvaluate:
@@ -344,8 +365,10 @@ class TestStartingTable:
             ("finish_cell", State(0, 0), State(1, -1)),
             ("start_t", State(7, 0), State(8, 0)),
             ("finish_t", State(0, 0), State(9, 0)),
+            # wrapped to 32 bits, 2**32 + 2 would read as cell 2, inside the world
+            ("start_cell", State(0, 2**32 + 2), State(1, 0)),
         ],
-        ids=["finish_cell", "start_t", "finish_t"],
+        ids=["finish_cell", "start_t", "finish_t", "start_cell_wide"],
     )
     def test_rejects_tuple_outside_world(self, evaluate, column, start, finish):
         # a 1 x 3 world with horizon 4: times 0..4, cells 0..2
