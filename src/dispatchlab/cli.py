@@ -64,22 +64,27 @@ def _int_or_text(text: str):
 
 
 def _run_group(args) -> Dict[Tuple[str, float, float, int], list]:
-    """One worker unit: all (policy, lambda) cells for a (gamma, seed) pair."""
+    """One worker unit: all (policy, lambda) cells for a (gamma, seed) pair.
+
+    A policy that does not read lambda runs once; its rows go under every lambda.
+    """
     manifest, gamma, seed, mode = args
     cfg = ExperimentConfig.from_dict(manifest)
     source = prepare_source(cfg.scenario, gamma, seed)
     out: Dict[Tuple[str, float, float, int], list] = {}
-    for lam in cfg.lambdas:
-        for kind in cfg.policies:
+    for kind in cfg.policies:
+        groups = [[lam] for lam in cfg.lambdas] if kind.reads_lambda else [cfg.lambdas]
+        for lams in groups:
             if mode == "simulate":
                 rows = run_experiment(
-                    cfg.scenario, kind, cfg.days, gamma, seed, lam=lam, source=source
+                    cfg.scenario, kind, cfg.days, gamma, seed, lam=lams[0], source=source
                 )
             else:
                 rows = repeat_single_day(
-                    cfg.scenario, kind, cfg.repetitions, gamma, seed, lam=lam, source=source
+                    cfg.scenario, kind, cfg.repetitions, gamma, seed, lam=lams[0], source=source
                 )
-            out[(kind.value, gamma, lam, seed)] = rows
+            for lam in lams:
+                out[(kind.value, gamma, lam, seed)] = rows
     return out
 
 
@@ -111,7 +116,7 @@ def simulate(config_path, out_dir, seeds, policies, parallel):
     """Run the policy x gamma x lambda x seed grid and write metric CSVs."""
     try:
         cfg = _load_config(config_path, seeds, policies)
-    except (ValueError, FileNotFoundError) as e:
+    except ValueError as e:
         raise click.ClickException(str(e))
     out = _resolve_out(out_dir, cfg.scenario.name)
     results = _run_grid(cfg, parallel, "simulate")
@@ -134,7 +139,7 @@ def repeat_day(config_path, out_dir, seeds, policies, repetitions, parallel):
     """Repeat one day's demand multiple times and track per-iteration learning."""
     try:
         cfg = _load_config(config_path, seeds, policies, repetitions)
-    except (ValueError, FileNotFoundError) as e:
+    except ValueError as e:
         raise click.ClickException(str(e))
     out = _resolve_out(out_dir, cfg.scenario.name)
     results = _run_grid(cfg, parallel, "repeat")
@@ -150,8 +155,8 @@ def repeat_day(config_path, out_dir, seeds, policies, repetitions, parallel):
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--source-table", required=True, type=click.Path(exists=True))
-@click.option("--target-table", required=True, type=click.Path(exists=True))
+@click.option("--source-table", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--target-table", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", default=None, type=click.Path())
 def concordance(config_path, source_table, target_table, out_path):
     """Report how often the two tables rank the configured cell pairs the same way."""

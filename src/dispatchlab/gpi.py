@@ -29,6 +29,11 @@ class PolicyKind(enum.Enum):
     NAIVELY_COMBINE = "naively_combine"
     PATTERN_TRANSFER = "pattern_transfer"
 
+    @property
+    def reads_lambda(self) -> bool:
+        """Whether the concordance weight lambda can change this policy's runs."""
+        return self is PolicyKind.PATTERN_TRANSFER
+
 
 @dataclass
 class Buffer:

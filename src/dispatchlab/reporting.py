@@ -12,11 +12,10 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import jsonschema
 import yaml
 
 from .gpi import DayRow, PolicyKind, RepeatRow
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, SchemaCheck, load_mapping
 
 POLICY_ORDER = [k.value for k in PolicyKind]
 
@@ -86,6 +85,9 @@ class ConfigError(ValueError):
     """Experiment config failed validation; message carries the offending path."""
 
 
+check_config = SchemaCheck(CONFIG_SCHEMA, "config", ConfigError)
+
+
 @dataclass
 class ExperimentConfig:
     scenario: Scenario
@@ -98,11 +100,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: str = ".") -> "ExperimentConfig":
-        try:
-            jsonschema.validate(data, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as e:
-            path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-            raise ConfigError(f"config field '{path}': {e.message}") from e
+        check_config(data)
         sc = data["scenario"]
         if isinstance(sc, str):
             scenario = Scenario.load(os.path.join(base_dir, sc))
@@ -120,10 +118,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as f:
-            data = yaml.safe_load(f)
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} is not a mapping")
+        data = load_mapping(path, "config", ConfigError)
         return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
     def manifest(self) -> dict:

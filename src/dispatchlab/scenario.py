@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-import jsonschema
 import numpy as np
-import yaml
 
 from .transfer import ConcordanceSpec, OptimizerSettings, default_pair_set, tier_size
 from .world import DemandModel, GridWorld
@@ -128,28 +126,68 @@ class ScenarioError(ValueError):
     """Scenario file failed validation; message carries the offending path."""
 
 
+class SchemaCheck:
+    """Validates dicts against one schema; `error` names the field of the violation.
+
+    jsonschema is imported and the validator built on first use, so a run that
+    validates nothing never loads the library. The schema itself is checked
+    against the metaschema by the test suite, not on every call as
+    `jsonschema.validate` would; the violation reported is the one it reports.
+    """
+
+    def __init__(self, schema: dict, what: str, error: type):
+        self.schema, self.what, self.error = schema, what, error
+        self._validator = None
+
+    def __call__(self, data: dict) -> None:
+        import jsonschema
+
+        if self._validator is None:
+            self._validator = jsonschema.validators.validator_for(self.schema)(self.schema)
+        e = jsonschema.exceptions.best_match(self._validator.iter_errors(data))
+        if e is not None:
+            path = "/".join(str(p) for p in e.absolute_path) or "<root>"
+            raise self.error(f"{self.what} field '{path}': {e.message}") from e
+
+
+check_scenario = SchemaCheck(SCENARIO_SCHEMA, "scenario", ScenarioError)
+
+
+def load_mapping(path, what: str, error: type) -> dict:
+    """The YAML mapping in the file at `path`; `error` names the file if it cannot be used.
+
+    PyYAML is imported here, so a run that reads no file never loads it.
+    """
+    import yaml
+
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = yaml.safe_load(f)
+    except OSError as e:
+        raise error(f"{what} file {path} cannot be read: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise error(f"{what} file {path} is not UTF-8 text: {e.reason}") from e
+    except yaml.YAMLError as e:
+        raise error(f"{what} file {path} is not valid YAML: {e}") from e
+    if not isinstance(data, dict):
+        raise error(f"{what} file {path} is not a mapping")
+    return data
+
+
 @dataclass
 class Scenario:
     raw: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        try:
-            jsonschema.validate(data, SCENARIO_SCHEMA)
-        except jsonschema.ValidationError as e:
-            path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-            raise ScenarioError(f"scenario field '{path}': {e.message}") from e
+        check_scenario(data)
         scenario = cls(raw=data)
         scenario._check_pairs()
         return scenario
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        with open(path, encoding="utf-8") as f:
-            data = yaml.safe_load(f)
-        if not isinstance(data, dict):
-            raise ScenarioError(f"scenario file {path} is not a mapping")
-        return cls.from_dict(data)
+        return cls.from_dict(load_mapping(path, "scenario", ScenarioError))
 
     # -- plain accessors ---------------------------------------------------
     @property
@@ -304,9 +342,13 @@ class Scenario:
 
 
 def default_scenario() -> Scenario:
-    """The bundled nonstationary scenario used by the acceptance experiments."""
-    return Scenario.from_dict(
-        {
+    """The bundled nonstationary scenario used by the acceptance experiments.
+
+    A fresh copy on every call. The literal is checked against the schema by
+    the test suite, not here: it is a constant, not outside input.
+    """
+    return Scenario(
+        raw={
             "name": "default-nonstationary",
             "seed": 0,
             "grid": {"rows": 10, "cols": 10},

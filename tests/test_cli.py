@@ -246,6 +246,19 @@ class TestConcordance:
         assert "does not match the scenario" in result.output
         assert "(11, 4)" in result.output
 
+    def test_directory_as_table_fails_cleanly(self, tmp_path):
+        cfg = write_config(tmp_path)
+        table = tmp_path / "tables"
+        table.mkdir()
+        result = CliRunner().invoke(
+            main,
+            ["concordance", "--config", str(cfg), "--source-table", str(table)]
+            + ["--target-table", str(table)],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "is a directory" in result.output
+
     def test_shape_mismatch_fails(self, tmp_path):
         cfg = write_config(tmp_path)
         a = np.zeros((11, 4))
@@ -347,6 +360,104 @@ class TestBadOverrides:
         assert field in result.output
         assert "Traceback" not in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+
+class TestLambdaFreePolicies:
+    """Only pattern_transfer reads lambda: the other four policies run once per
+    (gamma, seed), and their rows are filed under every lambda."""
+
+    POLICIES = ["greedy", "source_only", "target_only", "naively_combine", "pattern_transfer"]
+
+    @pytest.mark.parametrize(
+        "command, entry, files",
+        [
+            ("simulate", "run_experiment", ["per_day.csv", "summary.csv"]),
+            ("repeat-day", "repeat_single_day", ["repeat_day.csv"]),
+        ],
+    )
+    def test_one_run_per_lambda_free_policy(self, tmp_path, monkeypatch, command, entry, files):
+        import dispatchlab.cli as cli
+
+        calls = []
+        original = getattr(cli, entry)
+
+        def counted(scenario, kind, *args, **kwargs):
+            calls.append((kind.value, kwargs["lam"]))
+            return original(scenario, kind, *args, **kwargs)
+
+        monkeypatch.setattr(cli, entry, counted)
+
+        def run(name, lambdas):
+            cfg_dir = tmp_path / name
+            cfg_dir.mkdir()
+            cfg = write_config(cfg_dir, policies=self.POLICIES, lambdas=lambdas)
+            calls.clear()
+            result = CliRunner().invoke(
+                main, [command, "--config", str(cfg), "--out", str(cfg_dir / "out")]
+            )
+            assert result.exit_code == 0, result.output
+            return cfg_dir / "out", list(calls)
+
+        both, both_calls = run("both", [0.5, 2.0])
+        assert len(both_calls) == 4 + 2
+        assert sorted(lam for kind, lam in both_calls if kind == "pattern_transfer") == [0.5, 2.0]
+        singles = {}
+        for lam in (0.5, 2.0):
+            singles[lam], single_calls = run(f"only-{lam}", [lam])
+            assert len(single_calls) == 5
+        for name in files:
+            lines = (both / name).read_bytes().splitlines(keepends=True)
+            col = lines[0].decode().split(",").index("lambda")
+            rows = 0
+            for lam, single in singles.items():
+                own = [line for line in lines[1:] if line.decode().split(",")[col] == repr(lam)]
+                assert b"".join(lines[:1] + own) == (single / name).read_bytes()
+                rows += len(own)
+            assert rows == len(lines) - 1
+
+
+class TestUnusableInputFile:
+    """A config or scenario file that cannot be read or parsed stops every
+    command with an error naming the file: no traceback and no output."""
+
+    @staticmethod
+    def write_case(tmp_path, case):
+        cfg = tmp_path / "config.yaml"
+        if case == "config_yaml":
+            cfg.write_text("scenario: [unclosed\n")
+            return cfg, f"config file {cfg} is not valid YAML"
+        target = tmp_path / "scenario.yaml"
+        if case == "scenario_yaml":
+            target.write_text("name: [unclosed\n")
+            reason = "is not valid YAML"
+        elif case == "scenario_missing":
+            reason = "cannot be read: No such file or directory"
+        else:
+            target.mkdir()
+            reason = "cannot be read: Is a directory"
+        cfg.write_text(yaml.safe_dump({"scenario": target.name}))
+        return cfg, f"scenario file {target} {reason}"
+
+    @pytest.mark.parametrize(
+        "case", ["config_yaml", "scenario_yaml", "scenario_missing", "scenario_directory"]
+    )
+    @pytest.mark.parametrize("command", ["simulate", "repeat-day", "concordance", "validate-config"])
+    def test_fails_naming_the_file(self, tmp_path, command, case):
+        cfg, message = self.write_case(tmp_path, case)
+        out = tmp_path / "out"
+        args = [command, "--config", str(cfg)]
+        if command == "concordance":
+            table = tmp_path / "table.csv"
+            ValueTable(np.zeros((11, 4)), 0.9).save_csv(table)
+            args += ["--source-table", str(table), "--target-table", str(table)]
+        if command != "validate-config":
+            args += ["--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+        assert "Traceback" not in result.output
         assert not out.exists()
 
 

@@ -1,7 +1,17 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
 import numpy as np
 import pytest
 
 from dispatchlab import Scenario, ScenarioError, default_scenario
+from dispatchlab.reporting import CONFIG_SCHEMA
+from dispatchlab.scenario import SCENARIO_SCHEMA
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def minimal_raw(**overrides):
@@ -81,6 +91,46 @@ class TestValidation:
         p.write_text("- 1\n- 2\n")
         with pytest.raises(ScenarioError, match="mapping"):
             Scenario.load(p)
+
+    @pytest.mark.parametrize(
+        "name, text, reason",
+        [
+            ("bad.yaml", "name: [unclosed\n", "is not valid YAML"),
+            ("missing.yaml", None, "cannot be read: No such file or directory"),
+            ("adir", "", "cannot be read: Is a directory"),
+            ("latin1.yaml", "name: caf\xe9\n", "is not UTF-8 text: invalid continuation byte"),
+        ],
+        ids=["malformed", "missing", "directory", "not_utf8"],
+    )
+    def test_load_names_an_unusable_file(self, tmp_path, name, text, reason):
+        p = tmp_path / name
+        if name == "adir":
+            p.mkdir()
+        elif text is not None:
+            p.write_text(text, encoding="latin-1")
+        with pytest.raises(ScenarioError, match=re.escape(f"scenario file {p} {reason}")):
+            Scenario.load(p)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"horizon": 1},
+            {"grid": {"rows": 0}},
+            {"demand": {"hot_block": [0, 0, 1], "hot_rate": -1.0, "cold_rate": "x"}},
+            {"transfer": {"pairs": {"mode": "manual"}}},
+            {"transfer": {"pairs": [[0, -1], [0]]}},
+            {"optimizer": {"tol": -1}, "extra": 1},
+        ],
+    )
+    def test_messages_match_jsonschema_validate(self, overrides):
+        # one validator per schema must report what jsonschema.validate reports
+        raw = minimal_raw(**overrides)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(raw, SCENARIO_SCHEMA)
+        path = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+        with pytest.raises(ScenarioError) as got:
+            Scenario.from_dict(raw)
+        assert str(got.value) == f"scenario field '{path}': {expected.value.message}"
 
     def test_yaml_round_trip(self, tmp_path):
         import yaml
@@ -169,3 +219,35 @@ def test_default_scenario_is_valid_and_sized():
     # roughly the intended daily demand volume
     daily = tgt.rates.sum()
     assert 3000 < daily < 8000
+    # default_scenario() does not validate its literal at run time, so check it here
+    assert Scenario.from_dict(default_scenario().raw).raw == sc.raw
+
+
+def test_default_scenario_is_a_fresh_copy():
+    sc = default_scenario()
+    sc.raw["drivers"] = 1
+    sc.raw["demand"]["hot_rate"] = 0.0
+    again = default_scenario()
+    assert again.raw["drivers"] == 100
+    assert again.raw["demand"]["hot_rate"] == 1.25
+
+
+@pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, CONFIG_SCHEMA], ids=["scenario", "config"])
+def test_schema_is_valid(schema):
+    # validation reuses one validator per schema and no longer checks the schema itself
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_library_run_loads_no_schema_or_yaml_library():
+    # a fresh interpreter: other tests load both libraries into this process
+    code = (
+        "import sys, dispatchlab; dispatchlab.default_scenario(); "
+        "print(sorted(m for m in ('jsonschema', 'yaml') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
