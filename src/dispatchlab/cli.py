@@ -43,7 +43,10 @@ def _load_config(
     """The config at `path` with the command-line overrides applied.
 
     The overrides go into the config dict, which is validated again, so the
-    schema is the one check for the file and the command line alike.
+    schema is the one check for the file and the command line alike. The
+    scenario's world and demand models are then built once: a scenario can
+    pass the schema while its hot block, or the target's shifted one,
+    selects no cell, and only a build shows it. Any fault raises ValueError.
     """
     data = ExperimentConfig.load(path).manifest()
     if seeds is not None:
@@ -52,7 +55,32 @@ def _load_config(
         data["policies"] = list(policies)
     if repetitions is not None:
         data["repetitions"] = repetitions
-    return ExperimentConfig.from_dict(data)
+    cfg = ExperimentConfig.from_dict(data)
+    cfg.scenario.build_world()
+    cfg.scenario.build_source_model()
+    cfg.scenario.build_target_model()
+    return cfg
+
+
+def _check_out_folder(out: str) -> None:
+    """Stop before any work if the folder `out` cannot be made: a file is in its way.
+
+    The folder itself is made only once the grid has run.
+    """
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise click.ClickException(f"cannot make output folder {out}: {path} is a file")
+
+
+def _check_out_file(out: str) -> None:
+    """Stop before any work if the file `out` cannot be written into an existing folder."""
+    folder = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(folder):
+        raise click.ClickException(f"cannot write {out}: folder {folder} does not exist")
+    if os.path.isdir(out):
+        raise click.ClickException(f"cannot write {out}: it is a folder")
 
 
 def _int_or_text(text: str):
@@ -119,6 +147,7 @@ def simulate(config_path, out_dir, seeds, policies, parallel):
     except ValueError as e:
         raise click.ClickException(str(e))
     out = _resolve_out(out_dir, cfg.scenario.name)
+    _check_out_folder(out)
     results = _run_grid(cfg, parallel, "simulate")
     os.makedirs(out, exist_ok=True)
     write_manifest(os.path.join(out, "manifest.yaml"), cfg.manifest())
@@ -142,6 +171,7 @@ def repeat_day(config_path, out_dir, seeds, policies, repetitions, parallel):
     except ValueError as e:
         raise click.ClickException(str(e))
     out = _resolve_out(out_dir, cfg.scenario.name)
+    _check_out_folder(out)
     results = _run_grid(cfg, parallel, "repeat")
     os.makedirs(out, exist_ok=True)
     write_manifest(os.path.join(out, "manifest.yaml"), cfg.manifest())
@@ -160,6 +190,8 @@ def repeat_day(config_path, out_dir, seeds, policies, repetitions, parallel):
 @click.option("--out", "out_path", default=None, type=click.Path())
 def concordance(config_path, source_table, target_table, out_path):
     """Report how often the two tables rank the configured cell pairs the same way."""
+    if out_path:
+        _check_out_file(out_path)
     try:
         cfg = ExperimentConfig.load(config_path)
         world = cfg.scenario.build_world()
@@ -197,10 +229,7 @@ def _load_table(path: str, which: str, gamma: float, world: GridWorld) -> ValueT
 def validate_config(config_path):
     """Check an experiment config (and its scenario) against the schema."""
     try:
-        cfg = ExperimentConfig.load(config_path)
-        cfg.scenario.build_world()
-        cfg.scenario.build_source_model()
-        cfg.scenario.build_target_model()
+        cfg = _load_config(config_path, None, ())
     except ValueError as e:
         raise click.ClickException(str(e))
     click.echo(f"ok: scenario '{cfg.scenario.name}', {len(cfg.policies)} policies")

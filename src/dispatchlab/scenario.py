@@ -272,7 +272,8 @@ class Scenario:
         cc = np.arange(self.n_cells) % self.cols
         hot = (rr >= r0 + dr) & (rr < r1 + dr) & (cc >= c0 + dc) & (cc < c1 + dc)
         if not hot.any():
-            raise ScenarioError("demand.hot_block selects no cells")
+            shifted = " shifted by target_shift.block_shift" if any(block_shift) else ""
+            raise ScenarioError(f"demand.hot_block{shifted} selects no cells")
         base[hot] = float(d["hot_rate"])
         return base
 

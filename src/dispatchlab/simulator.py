@@ -16,7 +16,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .valuation import INDEX_DTYPE, TupleArrays, discount_table, served_transition
+from .valuation import (
+    INDEX_DTYPE,
+    ROW_COLUMNS,
+    TupleArrays,
+    discount_table,
+    served_transition,
+)
 from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, OrderBatch
 
 # A policy maps (drivers, orders, t) to one entry per driver: the index of
@@ -253,7 +259,7 @@ def apply_matching(
     ko = k[serve]
     if ko.size and (ko.max() >= len(orders) or np.bincount(ko).max() > 1):
         raise ConstraintViolation("an order is assigned to two drivers or does not exist")
-    # the index columns are built as INDEX_DTYPE, so TupleArrays converts nothing
+    # every row starts at t, so the part adopts the columns, built as INDEX_DTYPE
     start_cell = drivers.cell.astype(INDEX_DTYPE)
     finish_t = np.full(m, t + 1, dtype=INDEX_DTYPE)
     finish_cell = start_cell.copy()
@@ -267,8 +273,7 @@ def apply_matching(
             t, pickup, trip, orders.revenue[ko], T, gamma, powers
         )
         finish_cell[serve] = orders.destination[ko]
-    start_t = np.full(m, t, dtype=INDEX_DTYPE)
-    return TupleArrays(start_t, start_cell, finish_t, finish_cell, reward, duration)
+    return TupleArrays._adopt([t], [m], start_cell, finish_t, finish_cell, reward, duration)
 
 
 def run_day(
@@ -292,7 +297,9 @@ def run_day(
     pool = DriverPool(model.driver_counts)
     streams = DayStreams(seed, phase, day, world.horizon)
     metrics = DayMetrics()
-    parts = []
+    counts = [0] * world.horizon
+    # an empty first part gives each column its dtype if no window has drivers
+    windows = [TupleArrays.concat([])]
     for t in range(world.horizon):
         orders, drivers = generate_window(model, world, t, streams.rng(t), pool)
         metrics.orders_created += len(orders)
@@ -313,5 +320,8 @@ def run_day(
         for r in window.reward[k >= 0].tolist():
             metrics.reward += r
         pool.occupy(drivers.driver_id, window.finish_t, window.finish_cell)
-        parts.append(window)
-    return TupleArrays.concat(parts), metrics
+        counts[t] = len(window)
+        windows.append(window)
+    # the windows come in start-time order: the day joins their columns, unsorted
+    columns = (np.concatenate([getattr(w, name) for w in windows]) for name in ROW_COLUMNS)
+    return TupleArrays._adopt(range(world.horizon), counts, *columns), metrics

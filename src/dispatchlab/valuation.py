@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -169,28 +171,67 @@ def _index_column(values, name: str) -> np.ndarray:
     return column.astype(INDEX_DTYPE)
 
 
+# the columns a TupleArrays stores per row, in constructor order after start_t
+ROW_COLUMNS = ("start_cell", "finish_t", "finish_cell", "reward", "duration")
+
+
 class TupleArrays:
     """Columnar copy of a transition buffer, stably sorted by start time.
 
-    Each row is one transition: `start_t`, `start_cell`, `finish_t`,
-    `finish_cell` and `duration` as INDEX_DTYPE, `reward` as float64.
+    Each row is one transition: `start_cell`, `finish_t`, `finish_cell` and
+    `duration` as INDEX_DTYPE, `reward` as float64, 24 bytes in all. Start
+    times are kept per time, not per row: `_times` lists the start times
+    that have rows, ascending, and rows `_bounds[i]` to `_bounds[i + 1]`
+    start at `_times[i]`. `start_t` is derived from them. Both are short
+    Python lists, so `slice_at` is a bisection with no numpy call.
     """
 
-    __slots__ = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration", "_bounds")
+    __slots__ = ROW_COLUMNS + ("_times", "_bounds")
 
     def __init__(self, start_t, start_cell, finish_t, finish_cell, reward, duration):
+        """A stably start-time-sorted copy of the columns: never a view of them."""
         start_t = _index_column(start_t, "start_t")
         order = np.argsort(start_t, kind="stable")
-        self.start_t = start_t[order]
+        start_t = start_t[order]
+        if len(start_t) and start_t[0] < 0:
+            raise ValueError("tuple column start_t has a value below 0")
+        # the first row of each start time, then the end
+        bounds = np.append(np.flatnonzero(np.diff(start_t, prepend=-1)), len(start_t))
+        self._times = start_t[bounds[:-1]].tolist()
+        self._bounds = bounds.tolist()
         self.start_cell = _index_column(start_cell, "start_cell")[order]
         self.finish_t = _index_column(finish_t, "finish_t")[order]
         self.finish_cell = _index_column(finish_cell, "finish_cell")[order]
         self.reward = np.asarray(reward, dtype=float)[order]
         self.duration = _index_column(duration, "duration")[order]
-        self._bounds = None
+
+    @classmethod
+    def _adopt(
+        cls, times, counts, start_cell, finish_t, finish_cell, reward, duration
+    ) -> "TupleArrays":
+        """A part that takes the given columns as they are: no check, sort or copy.
+
+        The caller builds the columns already in start-time order, in
+        INDEX_DTYPE and float64, and hands them over: the first `counts[0]`
+        rows start at `times[0]`, the next `counts[1]` at `times[1]`, and so
+        on, with `times` ascending. A count may be 0.
+        """
+        arr = cls.__new__(cls)
+        arr._times = [t for t, k in zip(times, counts) if k]
+        arr._bounds = list(accumulate((k for k in counts if k), initial=0))
+        arr.start_cell, arr.finish_t, arr.finish_cell = start_cell, finish_t, finish_cell
+        arr.reward, arr.duration = reward, duration
+        return arr
 
     def __len__(self) -> int:
-        return len(self.start_t)
+        return len(self.reward)
+
+    @property
+    def start_t(self) -> np.ndarray:
+        """The start time of each row, as a new read-only INDEX_DTYPE array."""
+        start_t = np.repeat(np.array(self._times, dtype=INDEX_DTYPE), np.diff(self._bounds))
+        start_t.flags.writeable = False
+        return start_t
 
     @classmethod
     def from_tuples(cls, tuples: Sequence[TransitionTuple]) -> "TupleArrays":
@@ -203,29 +244,24 @@ class TupleArrays:
 
     @classmethod
     def concat(cls, parts: Iterable["TupleArrays"]) -> "TupleArrays":
+        """The parts merged into one sorted copy, stably by start time."""
         parts = list(parts)
         if not parts:
             return cls(*[np.empty(0)] * 6)
         return cls(
-            np.concatenate([p.start_t for p in parts]),
-            np.concatenate([p.start_cell for p in parts]),
-            np.concatenate([p.finish_t for p in parts]),
-            np.concatenate([p.finish_cell for p in parts]),
-            np.concatenate([p.reward for p in parts]),
-            np.concatenate([p.duration for p in parts]),
+            *(
+                np.concatenate([getattr(p, name) for p in parts])
+                for name in ("start_t",) + ROW_COLUMNS
+            )
         )
 
     def slice_at(self, t: int) -> slice:
         """Index range of tuples whose start time is t."""
-        if len(self) == 0:
+        times = self._times
+        i = bisect_left(times, t)
+        if i == len(times) or times[i] != t:
             return slice(0, 0)
-        if self._bounds is None:
-            tmax = int(self.start_t[-1])
-            self._bounds = np.searchsorted(self.start_t, np.arange(tmax + 2), side="left")
-        b = self._bounds
-        if t + 1 >= len(b):
-            return slice(0, 0)
-        return slice(int(b[t]), int(b[t + 1]))
+        return slice(self._bounds[i], self._bounds[i + 1])
 
 
 BufferLike = Union[TupleArrays, Sequence[TupleArrays], Sequence[TransitionTuple]]
@@ -262,13 +298,19 @@ def backup_start(
     """
     parts = as_parts(buffer)
     T, n = world.horizon, world.n_cells
-    ends = {"start_t": T, "start_cell": n, "finish_t": T + 1, "finish_cell": n}
+    ends = {"start_cell": n, "finish_t": T + 1, "finish_cell": n}
     for arr in parts:
+        if not len(arr):
+            continue
+        # the constructors keep start times ascending and at least 0
+        if arr._times[-1] >= T:
+            raise ValueError(f"tuple column start_t has a value outside [0, {T})")
         for name, end in ends.items():
             column = getattr(arr, name)
-            if column.min(initial=0) < 0 or column.max(initial=0) >= end:
+            if column.min() < 0 or column.max() >= end:
                 raise ValueError(f"tuple column {name} has a value outside [0, {end})")
-        if np.any(arr.finish_t <= arr.start_t):
+        # the earliest finish among the rows of each start time
+        if np.any(np.minimum.reduceat(arr.finish_t, arr._bounds[:-1]) <= arr._times):
             raise ValueError("all tuples must satisfy finish.t > start.t")
     if init is None:
         values = np.zeros((T + 1, n))

@@ -69,6 +69,15 @@ def assert_tuple_dtypes(arr):
     assert arr.reward.dtype == np.float64
 
 
+def assert_same_part(got, want, horizon):
+    """Two TupleArrays hold the same rows bit for bit, with the same slice at every time."""
+    for name in ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for t in range(horizon + 1):
+        assert got.slice_at(t) == want.slice_at(t), t
+
+
 def grid_search_oracle(cells, targets, v_src, spec, lo, hi, res=1e-3):
     """Exhaustive 2-cell minimization of the penalized objective on a lattice."""
     axis = np.arange(lo, hi + res, res)

@@ -330,6 +330,90 @@ class TestFailedGrid:
             assert not out.exists()
 
 
+class TestOutputPath:
+    """An output path that cannot be written stops the command before any work:
+    a clean error naming the path, nothing run, printed or written."""
+
+    @pytest.fixture
+    def no_grid(self, monkeypatch):
+        import dispatchlab.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "prepare_source", unreachable)
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["simulate", "repeat-day"])
+    def test_out_folder_blocked_by_a_file(self, tmp_path, no_grid, command, below):
+        cfg = write_config(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / below if below else afile
+        result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: cannot make output folder {out}: {afile} is a file\n"
+        assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("case", ["missing_folder", "folder"])
+    def test_concordance_out_not_writable(self, tmp_path, case):
+        cfg = write_config(tmp_path)
+        table = tmp_path / "table.csv"
+        ValueTable(np.zeros((11, 4)), 0.9).save_csv(table)
+        if case == "folder":
+            out = tmp_path / "adir"
+            out.mkdir()
+            message = f"cannot write {out}: it is a folder"
+        else:
+            out = tmp_path / "nodir" / "r.csv"
+            message = f"cannot write {out}: folder {out.parent} does not exist"
+        args = ["--source-table", str(table), "--target-table", str(table), "--out", str(out)]
+        before = set(tmp_path.rglob("*"))
+        result = CliRunner().invoke(main, ["concordance", "--config", str(cfg)] + args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {message}\n"
+        assert set(tmp_path.rglob("*")) == before
+
+
+class TestScenarioModels:
+    """A scenario can pass the schema while its hot block, or the target's shifted
+    one, selects no cell. Each command that runs or checks a grid builds the
+    world and both demand models first, and stops with a clean error."""
+
+    CASES = {
+        "hot_block": (
+            dict(
+                MICRO_SCENARIO,
+                grid={"rows": 2, "cols": 5},
+                demand={"hot_block": [0, 1, 0, 2], "hot_rate": 0.6, "cold_rate": 0.05},
+            ),
+            "demand.hot_block selects no cells",
+        ),
+        "block_shift": (
+            dict(MICRO_SCENARIO, target_shift={"block_shift": [2, 0]}),
+            "demand.hot_block shifted by target_shift.block_shift selects no cells",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("command", ["simulate", "repeat-day", "validate-config"])
+    def test_fails_before_the_grid(self, tmp_path, command, case):
+        scenario, message = self.CASES[case]
+        cfg = write_config(tmp_path, scenario=scenario)
+        out = tmp_path / "out"
+        args = [command, "--config", str(cfg)]
+        if command != "validate-config":
+            args += ["--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
 class TestBadOverrides:
     """Command-line overrides go through the config schema: a clean error naming
     the field, no traceback and no output folder."""

@@ -9,6 +9,7 @@ from dispatchlab import (
     GridWorld,
     OrderBatch,
     OrderRequest,
+    TupleArrays,
     apply_matching,
     discounted_reward,
     generate_window,
@@ -16,7 +17,8 @@ from dispatchlab import (
 )
 from dispatchlab.simulator import DayStreams, window_rng
 
-from conftest import assert_tuple_dtypes
+from conftest import assert_same_part, assert_tuple_dtypes
+from test_gpi import micro_scenario
 
 ORDER_COLUMNS = ("origin", "destination", "revenue", "duration")
 TUPLE_COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
@@ -187,6 +189,16 @@ class TestApplyMatching:
         # only the first of three installments fits into the day
         assert arr.reward[0] == pytest.approx(10.0 / 3)
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_part_equals_sorting_constructor(self, m):
+        # the window's columns are adopted as built, in the order a sort would give
+        drivers = DriverBatch(np.arange(m), [0, 1, 0][:m], 5)
+        orders = OrderBatch.from_requests([OrderRequest(0, 1, 10.0, 2, 5)], 5)
+        arr = apply_matching(drivers, orders, [0, None, None][:m], 0.9, self.world)
+        assert len(arr) == m
+        want = TupleArrays(*(getattr(arr, name) for name in TUPLE_COLUMNS))
+        assert_same_part(arr, want, self.world.horizon)
+
     def test_rejects_duplicate_driver(self):
         drivers = DriverBatch([0, 0], [0, 0], 0)
         with pytest.raises(ConstraintViolation, match="driver"):
@@ -306,6 +318,35 @@ class TestRunDay:
         _, greedy_metrics = run_day(world, model, greedy_for(world, 0.9), 0.9, seed=5)
         _, idle_metrics = run_day(world, model, idle_policy, 0.9, seed=5)
         assert greedy_metrics.orders_created == idle_metrics.orders_created
+
+    def micro_day(self, monkeypatch):
+        """A micro-scenario day and the window parts `run_day` built it from."""
+        import dispatchlab.simulator as simulator
+
+        windows = []
+
+        def recorded(*args, **kwargs):
+            windows.append(apply_matching(*args, **kwargs))
+            return windows[-1]
+
+        monkeypatch.setattr(simulator, "apply_matching", recorded)
+        sc = micro_scenario(drivers=3)
+        world = sc.build_world()
+        day, _ = run_day(world, sc.build_target_model(), greedy_for(world, 0.9), 0.9, seed=1)
+        return world, day, windows
+
+    def test_day_equals_concat_of_its_windows(self, monkeypatch):
+        world, day, windows = self.micro_day(monkeypatch)
+        # some windows serve several drivers, and some time has no idle driver
+        assert max(map(len, windows)) > 1
+        assert len(windows) < world.horizon
+        assert_same_part(day, TupleArrays.concat(windows), world.horizon)
+
+    def test_day_stores_24_bytes_a_row(self, monkeypatch):
+        _, day, _ = self.micro_day(monkeypatch)
+        stored = [getattr(day, name) for name in TupleArrays.__slots__]
+        arrays = [a for a in stored if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 24 * len(day)
 
     def test_day_is_reproducible(self):
         world = GridWorld.lattice(2, 2, 10)

@@ -215,6 +215,8 @@ class TestTupleArrays:
         cols = (start_t, np.arange(5, dtype=dtype), start_t + 1, zeros, reward, ones)
         arr = TupleArrays(*cols)
         assert_tuple_dtypes(arr)
+        # start times are kept per time; the per-row column is derived and read-only
+        assert not arr.start_t.flags.writeable
         order = np.argsort(start_t, kind="stable")
         want = [col[order].copy() for col in cols]
         for name, col in zip(TUPLE_COLUMNS, cols):
@@ -232,6 +234,14 @@ class TestTupleArrays:
         cols["reward"] = np.zeros(3)
         cols[column] = np.array([0, value, 1])
         with pytest.raises(ValueError, match=f"tuple column {column} has a value outside"):
+            TupleArrays(**cols)
+
+
+    def test_rejects_negative_start_time(self):
+        # bounds have no place for a time below 0: such a row would drop out of every slice
+        cols = {name: np.zeros(3, np.int32) for name in TUPLE_COLUMNS}
+        cols.update(start_t=np.array([0, -1, 2]), finish_t=np.array([1, 0, 3]), reward=np.zeros(3))
+        with pytest.raises(ValueError, match="tuple column start_t has a value below 0"):
             TupleArrays(**cols)
 
 
@@ -367,8 +377,9 @@ class TestStartingTable:
             ("finish_t", State(0, 0), State(9, 0)),
             # wrapped to 32 bits, 2**32 + 2 would read as cell 2, inside the world
             ("start_cell", State(0, 2**32 + 2), State(1, 0)),
+            ("start_t", State(-1, 0), State(1, 0)),
         ],
-        ids=["finish_cell", "start_t", "finish_t", "start_cell_wide"],
+        ids=["finish_cell", "start_t", "finish_t", "start_cell_wide", "start_t_negative"],
     )
     def test_rejects_tuple_outside_world(self, evaluate, column, start, finish):
         # a 1 x 3 world with horizon 4: times 0..4, cells 0..2
@@ -486,3 +497,22 @@ class TestDayParts:
 
     def test_empty_buffer_has_no_parts(self):
         assert backup_start([], self.WORLD)[0] == []
+
+    def test_rejects_each_row_that_does_not_advance(self):
+        # the check reads the earliest finish of each start time: every row counts,
+        # the first, a middle and the last one of its time alike
+        arr = self.parts([60])[0]
+        backup_start([arr], self.WORLD)
+        for k, t in enumerate(arr.start_t.tolist()):
+            stalled = TupleArrays(*(getattr(arr, name) for name in TUPLE_COLUMNS))
+            stalled.finish_t[k] = t
+            with pytest.raises(ValueError, match="finish.t"):
+                backup_start([arr, stalled], self.WORLD)
+
+    @pytest.mark.parametrize("evaluate", [dp_evaluate, td_evaluate, transfer_toward_random_source])
+    def test_evaluators_do_not_build_start_t(self, evaluate, monkeypatch):
+        parts = self.parts(self.SIZES["interleaved"])
+        monkeypatch.setattr(
+            TupleArrays, "start_t", property(lambda arr: pytest.fail("start_t was built"))
+        )
+        evaluate(parts, self.WORLD, 0.9)
