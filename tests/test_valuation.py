@@ -236,7 +236,6 @@ class TestTupleArrays:
         with pytest.raises(ValueError, match=f"tuple column {column} has a value outside"):
             TupleArrays(**cols)
 
-
     def test_rejects_negative_start_time(self):
         # bounds have no place for a time below 0: such a row would drop out of every slice
         cols = {name: np.zeros(3, np.int32) for name in TUPLE_COLUMNS}
