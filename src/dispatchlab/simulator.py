@@ -17,10 +17,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .valuation import (
+    FULL_DTYPE,
     INDEX_DTYPE,
-    ROW_COLUMNS,
     TupleArrays,
     discount_table,
+    full_entries,
     served_transition,
 )
 from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, OrderBatch
@@ -30,6 +31,7 @@ from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, Ord
 Policy = Callable[[DriverBatch, OrderBatch, int], Sequence[Optional[int]]]
 
 EMPTY_IDS = np.empty(0, dtype=np.int64)
+NO_FULL_ROWS = np.empty(0, dtype=FULL_DTYPE)
 
 
 @dataclass
@@ -259,21 +261,19 @@ def apply_matching(
     ko = k[serve]
     if ko.size and (ko.max() >= len(orders) or np.bincount(ko).max() > 1):
         raise ConstraintViolation("an order is assigned to two drivers or does not exist")
-    # every row starts at t, so the part adopts the columns, built as INDEX_DTYPE
+    # every row starts at t, so the part adopts the columns, built as INDEX_DTYPE;
+    # it keeps the serving drivers' rows in full and derives the idle ones
     start_cell = drivers.cell.astype(INDEX_DTYPE)
-    finish_t = np.full(m, t + 1, dtype=INDEX_DTYPE)
-    finish_cell = start_cell.copy()
-    reward = np.zeros(m)
-    duration = np.ones(m, dtype=INDEX_DTYPE)
-    if ko.size:
-        pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[ko]]
-        trip = orders.duration[ko]
-        powers = discount_table(gamma, int(pickup.max() + trip.max()) + 1)
-        duration[serve], finish_t[serve], reward[serve] = served_transition(
-            t, pickup, trip, orders.revenue[ko], T, gamma, powers
-        )
-        finish_cell[serve] = orders.destination[ko]
-    return TupleArrays._adopt([t], [m], start_cell, finish_t, finish_cell, reward, duration)
+    if not ko.size:
+        return TupleArrays._adopt([t], [m], [0], start_cell, NO_FULL_ROWS)
+    pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[ko]]
+    trip = orders.duration[ko]
+    powers = discount_table(gamma, int(pickup.max() + trip.max()) + 1)
+    duration, finish_t, reward = served_transition(
+        t, pickup, trip, orders.revenue[ko], T, gamma, powers
+    )
+    full = full_entries(serve, finish_t, orders.destination[ko], duration, reward)
+    return TupleArrays._adopt([t], [m], [len(serve)], start_cell, full)
 
 
 def run_day(
@@ -297,7 +297,6 @@ def run_day(
     pool = DriverPool(model.driver_counts)
     streams = DayStreams(seed, phase, day, world.horizon)
     metrics = DayMetrics()
-    counts = [0] * world.horizon
     # an empty first part gives each column its dtype if no window has drivers
     windows = [TupleArrays.concat([])]
     for t in range(world.horizon):
@@ -316,12 +315,14 @@ def run_day(
             metrics.orders_completed += int(done.sum())
             k[serve[~done]] = -1
         window = apply_matching(drivers, orders, k, gamma, world)
-        # plain left-to-right float additions, in driver order
-        for r in window.reward[k >= 0].tolist():
+        # the window keeps the serving drivers' rows in full, in driver order:
+        # plain left-to-right float additions
+        served = window._full
+        for r in served["reward"].tolist():
             metrics.reward += r
-        pool.occupy(drivers.driver_id, window.finish_t, window.finish_cell)
-        counts[t] = len(window)
+        # every driver waits one window where it is, unless it serves an order
+        pool.busy_until[drivers.driver_id] = t + 1
+        pool.occupy(drivers.driver_id[served["row"]], served["finish_t"], served["finish_cell"])
         windows.append(window)
-    # the windows come in start-time order: the day joins their columns, unsorted
-    columns = (np.concatenate([getattr(w, name) for w in windows]) for name in ROW_COLUMNS)
-    return TupleArrays._adopt(range(world.horizon), counts, *columns), metrics
+    # the windows come in start-time order: the day joins them, unsorted
+    return TupleArrays._chain(windows), metrics

@@ -153,78 +153,167 @@ class ValueTable:
         return cls(values, gamma)
 
 
-# dtype of the five index columns of a TupleArrays; times, cells and durations
+# dtype of the index columns of a TupleArrays; times, cells and durations
 # stay below the horizon or the cell count, far inside its range
 INDEX_DTYPE = np.int32
 _INDEX_RANGE = np.iinfo(INDEX_DTYPE)
 
 
-def _index_column(values, name: str) -> np.ndarray:
-    """`values` as an INDEX_DTYPE array. A value outside that dtype's range
-    raises ValueError, where a cast would wrap it around to another index."""
-    column = np.asarray(values)
-    if column.dtype == INDEX_DTYPE:
+def _column(values, name: str, rows: int) -> np.ndarray:
+    """`values` as the tuple column `name` of `rows` rows: float64 for
+    `reward`, INDEX_DTYPE for the others. A column of another length raises
+    ValueError, and so does an index outside INDEX_DTYPE's range, where a
+    cast would wrap it around to another index."""
+    column = np.asarray(values, dtype=float if name == "reward" else None)
+    if column.shape != (rows,):
+        raise ValueError(f"tuple column {name} has shape {column.shape}, start_t has ({rows},)")
+    if name == "reward" or column.dtype == INDEX_DTYPE:
         return column
     lo, hi = _INDEX_RANGE.min, _INDEX_RANGE.max
-    if column.size and (column.min() < lo or column.max() > hi):
+    if rows and (column.min() < lo or column.max() > hi):
         raise ValueError(f"tuple column {name} has a value outside [{lo}, {hi}]")
     return column.astype(INDEX_DTYPE)
 
 
-# the columns a TupleArrays stores per row, in constructor order after start_t
-ROW_COLUMNS = ("start_cell", "finish_t", "finish_cell", "reward", "duration")
+def is_idle(start_t, start_cell, finish_t, finish_cell, reward, duration) -> np.ndarray:
+    """Which rows are idle transitions, bit for bit: from (t, cell) to
+    (t + 1, cell) with reward +0.0 (never -0.0) and duration 1."""
+    reward = np.asarray(reward, dtype=float)
+    return (
+        (finish_t == start_t + 1)
+        & (finish_cell == start_cell)
+        & (duration == 1)
+        & (reward.view(np.int64) == 0)
+    )
+
+
+# the columns of a TupleArrays, in constructor order
+COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
+
+# what a TupleArrays stores for each row it keeps in full, 24 bytes: the row's
+# position among the rows of its start time, then its own columns
+FULL_DTYPE = np.dtype(
+    [
+        ("row", INDEX_DTYPE),
+        ("finish_t", INDEX_DTYPE),
+        ("finish_cell", INDEX_DTYPE),
+        ("duration", INDEX_DTYPE),
+        ("reward", np.float64),
+    ]
+)
+
+
+def _joined(pieces: List[np.ndarray]) -> np.ndarray:
+    """The arrays end to end, or a lone one as it is. FULL_DTYPE arrays are
+    joined as bytes: numpy joins structured arrays about 4x slower."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if pieces[0].dtype == FULL_DTYPE:
+        return np.concatenate([p.view(np.uint8) for p in pieces]).view(FULL_DTYPE)
+    return np.concatenate(pieces)
+
+
+def full_entries(row, finish_t, finish_cell, duration, reward) -> np.ndarray:
+    """The FULL_DTYPE entries of rows kept in full, one per element."""
+    full = np.empty(len(row), dtype=FULL_DTYPE)
+    for name, column in zip(FULL_DTYPE.names, (row, finish_t, finish_cell, duration, reward)):
+        full[name] = column
+    return full
 
 
 class TupleArrays:
     """Columnar copy of a transition buffer, stably sorted by start time.
 
-    Each row is one transition: `start_cell`, `finish_t`, `finish_cell` and
-    `duration` as INDEX_DTYPE, `reward` as float64, 24 bytes in all. Start
-    times are kept per time, not per row: `_times` lists the start times
-    that have rows, ascending, and rows `_bounds[i]` to `_bounds[i + 1]`
-    start at `_times[i]`. `start_t` is derived from them. Both are short
-    Python lists, so `slice_at` is a bisection with no numpy call.
+    Most rows of a simulated day are idle transitions (see `is_idle`), whose
+    finish, reward and duration follow from the row's start. So every row
+    stores only its INDEX_DTYPE `start_cell`, and the rows kept in full also
+    have an entry of `_full` (FULL_DTYPE), in row order: an idle row costs 4
+    bytes, a full one 28. The public constructor keeps a row in full unless
+    it is an idle transition; `_adopt` may also be given idle transitions
+    to keep in full, which changes no column.
+
+    Start times are kept per time, not per row: `_times` lists the start
+    times that have rows, ascending; rows `_bounds[i]` to `_bounds[i + 1]`
+    start at `_times[i]`, and entries `_kept[i]` to `_kept[i + 1]` of
+    `_full` are the full ones among them. All three are short Python
+    lists, so `slice_at` is a bisection with no numpy call. `start_t`,
+    `finish_t`, `finish_cell`, `reward` and `duration` are derived as new
+    read-only full columns.
     """
 
-    __slots__ = ROW_COLUMNS + ("_times", "_bounds")
+    __slots__ = ("start_cell", "_full", "_times", "_bounds", "_kept")
 
     def __init__(self, start_t, start_cell, finish_t, finish_cell, reward, duration):
         """A stably start-time-sorted copy of the columns: never a view of them."""
-        start_t = _index_column(start_t, "start_t")
+        start_t = np.asarray(start_t)
+        if start_t.ndim != 1:
+            raise ValueError(f"tuple column start_t has shape {start_t.shape}, not one axis")
+        rows = len(start_t)
+        start_t = _column(start_t, "start_t", rows)
+        start_cell = _column(start_cell, "start_cell", rows)
+        finish_t = _column(finish_t, "finish_t", rows)
+        finish_cell = _column(finish_cell, "finish_cell", rows)
+        reward = _column(reward, "reward", rows)
+        duration = _column(duration, "duration", rows)
         order = np.argsort(start_t, kind="stable")
-        start_t = start_t[order]
-        if len(start_t) and start_t[0] < 0:
+        sorted_t = start_t[order]
+        if rows and sorted_t[0] < 0:
             raise ValueError("tuple column start_t has a value below 0")
         # the first row of each start time, then the end
-        bounds = np.append(np.flatnonzero(np.diff(start_t, prepend=-1)), len(start_t))
-        self._times = start_t[bounds[:-1]].tolist()
-        self._bounds = bounds.tolist()
-        self.start_cell = _index_column(start_cell, "start_cell")[order]
-        self.finish_t = _index_column(finish_t, "finish_t")[order]
-        self.finish_cell = _index_column(finish_cell, "finish_cell")[order]
-        self.reward = np.asarray(reward, dtype=float)[order]
-        self.duration = _index_column(duration, "duration")[order]
+        firsts = np.flatnonzero(np.diff(sorted_t, prepend=-1))
+        keep = (~is_idle(start_t, start_cell, finish_t, finish_cell, reward, duration))[order]
+        kept = np.flatnonzero(keep)
+        source = order[kept]
+        # each kept row's position among the rows of its start time
+        first = firsts[np.searchsorted(firsts, kept, side="right") - 1]
+        self._times = sorted_t[firsts].tolist()
+        self._bounds = np.append(firsts, rows).tolist()
+        self._kept = np.append(np.searchsorted(kept, firsts), len(kept)).tolist()
+        self.start_cell = start_cell[order]
+        self._full = full_entries(
+            kept - first, finish_t[source], finish_cell[source], duration[source], reward[source]
+        )
 
     @classmethod
-    def _adopt(
-        cls, times, counts, start_cell, finish_t, finish_cell, reward, duration
-    ) -> "TupleArrays":
+    def _adopt(cls, times, counts, kept, start_cell, full) -> "TupleArrays":
         """A part that takes the given columns as they are: no check, sort or copy.
 
-        The caller builds the columns already in start-time order, in
-        INDEX_DTYPE and float64, and hands them over: the first `counts[0]`
+        The caller builds `start_cell` (INDEX_DTYPE) and `full` (FULL_DTYPE)
+        already in start-time order and hands them over: the first `counts[0]`
         rows start at `times[0]`, the next `counts[1]` at `times[1]`, and so
-        on, with `times` ascending. A count may be 0.
+        on, with `times` ascending. The first `kept[0]` entries of `full`
+        are rows of `times[0]` kept in full, in row order, the next `kept[1]`
+        of `times[1]`, and so on; every other row must be an idle transition.
+        A time with a count of 0 keeps 0 rows.
         """
         arr = cls.__new__(cls)
         arr._times = [t for t, k in zip(times, counts) if k]
         arr._bounds = list(accumulate((k for k in counts if k), initial=0))
-        arr.start_cell, arr.finish_t, arr.finish_cell = start_cell, finish_t, finish_cell
-        arr.reward, arr.duration = reward, duration
+        arr._kept = list(accumulate((j for j, k in zip(kept, counts) if k), initial=0))
+        arr.start_cell, arr._full = start_cell, full
         return arr
 
+    @classmethod
+    def _chain(cls, parts: Sequence["TupleArrays"]) -> "TupleArrays":
+        """The parts joined in the order given, without a sort: each part's
+        start times must all come after the previous parts'."""
+        return cls._adopt(
+            [t for p in parts for t in p._times],
+            [b - a for p in parts for a, b in zip(p._bounds, p._bounds[1:])],
+            [b - a for p in parts for a, b in zip(p._kept, p._kept[1:])],
+            _joined([p.start_cell for p in parts]),
+            _joined([p._full for p in parts]),
+        )
+
     def __len__(self) -> int:
-        return len(self.reward)
+        return len(self.start_cell)
+
+    def _derived(self, column: np.ndarray, name: str) -> np.ndarray:
+        """`column`, which holds the idle rows' values, with the full rows' in place."""
+        firsts = np.repeat(np.array(self._bounds[:-1], dtype=INDEX_DTYPE), np.diff(self._kept))
+        column[firsts + self._full["row"]] = self._full[name]
+        column.flags.writeable = False
+        return column
 
     @property
     def start_t(self) -> np.ndarray:
@@ -232,6 +321,22 @@ class TupleArrays:
         start_t = np.repeat(np.array(self._times, dtype=INDEX_DTYPE), np.diff(self._bounds))
         start_t.flags.writeable = False
         return start_t
+
+    @property
+    def finish_t(self) -> np.ndarray:
+        return self._derived(self.start_t + 1, "finish_t")
+
+    @property
+    def finish_cell(self) -> np.ndarray:
+        return self._derived(self.start_cell.copy(), "finish_cell")
+
+    @property
+    def reward(self) -> np.ndarray:
+        return self._derived(np.zeros(len(self)), "reward")
+
+    @property
+    def duration(self) -> np.ndarray:
+        return self._derived(np.ones(len(self), dtype=INDEX_DTYPE), "duration")
 
     @classmethod
     def from_tuples(cls, tuples: Sequence[TransitionTuple]) -> "TupleArrays":
@@ -251,17 +356,23 @@ class TupleArrays:
         return cls(
             *(
                 np.concatenate([getattr(p, name) for p in parts])
-                for name in ("start_t",) + ROW_COLUMNS
+                for name in COLUMNS
             )
         )
 
-    def slice_at(self, t: int) -> slice:
-        """Index range of tuples whose start time is t."""
+    def _span(self, t: int) -> Optional[Tuple[int, int, int, int]]:
+        """(first, end) of the rows that start at t and (first, end) of their
+        entries in `_full`; None if no row starts at t."""
         times = self._times
         i = bisect_left(times, t)
         if i == len(times) or times[i] != t:
-            return slice(0, 0)
-        return slice(self._bounds[i], self._bounds[i + 1])
+            return None
+        return self._bounds[i], self._bounds[i + 1], self._kept[i], self._kept[i + 1]
+
+    def slice_at(self, t: int) -> slice:
+        """Index range of tuples whose start time is t."""
+        span = self._span(t)
+        return slice(0, 0) if span is None else slice(span[0], span[1])
 
 
 BufferLike = Union[TupleArrays, Sequence[TupleArrays], Sequence[TransitionTuple]]
@@ -298,19 +409,28 @@ def backup_start(
     """
     parts = as_parts(buffer)
     T, n = world.horizon, world.n_cells
-    ends = {"start_cell": n, "finish_t": T + 1, "finish_cell": n}
+    ends = {"finish_t": T + 1, "finish_cell": n}
     for arr in parts:
         if not len(arr):
             continue
         # the constructors keep start times ascending and at least 0
         if arr._times[-1] >= T:
             raise ValueError(f"tuple column start_t has a value outside [0, {T})")
+        if arr.start_cell.min() < 0 or arr.start_cell.max() >= n:
+            raise ValueError(f"tuple column start_cell has a value outside [0, {n})")
+        # an idle row finishes at t + 1 <= T in its own cell: only full rows can break a rule
+        full = arr._full
+        if not len(full):
+            continue
         for name, end in ends.items():
-            column = getattr(arr, name)
+            column = full[name]
             if column.min() < 0 or column.max() >= end:
                 raise ValueError(f"tuple column {name} has a value outside [0, {end})")
-        # the earliest finish among the rows of each start time
-        if np.any(np.minimum.reduceat(arr.finish_t, arr._bounds[:-1]) <= arr._times):
+        # the earliest finish among the full rows of each start time that has any
+        kept = arr._kept
+        firsts = [i for i in range(len(arr._times)) if kept[i] < kept[i + 1]]
+        earliest = np.minimum.reduceat(full["finish_t"], [kept[i] for i in firsts])
+        if np.any(earliest <= [arr._times[i] for i in firsts]):
             raise ValueError("all tuples must satisfy finish.t > start.t")
     if init is None:
         values = np.zeros((T + 1, n))
@@ -337,23 +457,27 @@ def td_slice(
     slice t of the stable start-time sort of all parts joined, so the
     result equals the slice of `TupleArrays.concat(parts)` bit for bit.
     """
-    slices = [(arr, arr.slice_at(t)) for arr in parts]
-    slices = [(arr, sl) for arr, sl in slices if sl.stop > sl.start]
-    if not slices:
+    spans = [(arr, span) for arr in parts if (span := arr._span(t)) is not None]
+    if not spans:
         return np.empty(0, dtype=np.intp), np.empty(0)
-
-    def column(name):
-        if len(slices) == 1:
-            arr, sl = slices[0]
-            return getattr(arr, name)[sl]  # a view: one part has rows at t
-        return np.concatenate([getattr(arr, name)[sl] for arr, sl in slices])
 
     # cast once: the callers gather by cell several times per slice, and numpy
     # gathers about 3x slower by int32 indices than by intp ones
-    cells = column("start_cell").astype(np.intp)
-    duration = column("duration")
-    discount = discount_table(gamma, int(duration.max()) + 1).take(duration)
-    targets = discount * values[column("finish_t"), column("finish_cell")] + column("reward")
+    cells = _joined([arr.start_cell[a:b] for arr, (a, b, _, _) in spans]).astype(np.intp)
+    full = _joined([arr._full[ka:kb] for arr, (_, _, ka, kb) in spans])
+    duration = full["duration"]
+    powers = discount_table(gamma, int(duration.max(initial=1)) + 1)
+    # every row's target as an idle row's, gamma^1 * V(t + 1, cell) + 0.0, then
+    # the full rows' in their places: the same operations as for the full columns
+    targets = powers[1] * values[t + 1].take(cells) + 0.0
+    if len(full):
+        rows = full["row"]
+        if len(spans) > 1:
+            # each part's rows at t follow the rows of the parts before it
+            starts = accumulate((b - a for _, (a, b, _, _) in spans), initial=0)
+            rows = rows + np.repeat(list(starts)[:-1], [kb - ka for _, (_, _, ka, kb) in spans])
+        finish = values[full["finish_t"], full["finish_cell"]]
+        targets[rows] = powers.take(duration) * finish + full["reward"]
     return cells, targets
 
 

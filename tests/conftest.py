@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dispatchlab import DriverBatch, GridWorld, OrderBatch, OrderRequest, State, TransitionTuple
+from dispatchlab.valuation import discount_table
 
 # Pass/fail lines recorded by the acceptance tests, echoed after the run.
 ACCEPTANCE_LINES = []
@@ -69,9 +70,49 @@ def assert_tuple_dtypes(arr):
     assert arr.reward.dtype == np.float64
 
 
+TUPLE_COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
+
+
+class FullPart:
+    """Every column of every row stored in full, stably sorted by start time:
+    the reference for the compact storage of `TupleArrays`."""
+
+    def __init__(self, start_t, start_cell, finish_t, finish_cell, reward, duration):
+        order = np.argsort(np.asarray(start_t), kind="stable")
+        for name, values in zip(TUPLE_COLUMNS, (start_t, start_cell, finish_t, finish_cell)):
+            setattr(self, name, np.asarray(values).astype(np.int32)[order])
+        self.reward = np.asarray(reward, dtype=np.float64)[order]
+        self.duration = np.asarray(duration).astype(np.int32)[order]
+
+    @classmethod
+    def from_tuples(cls, tuples):
+        return cls(
+            [tr.start.t for tr in tuples],
+            [tr.start.cell for tr in tuples],
+            [tr.finish.t for tr in tuples],
+            [tr.finish.cell for tr in tuples],
+            [tr.reward_discounted for tr in tuples],
+            [tr.duration for tr in tuples],
+        )
+
+    def slice_at(self, t):
+        lo, hi = np.searchsorted(self.start_t, [t, t + 1]).tolist()
+        return slice(lo, hi) if hi > lo else slice(0, 0)
+
+    def td_slice(self, t, values, gamma):
+        """Cells and targets of slice t by the backup formula on the full columns."""
+        sl = self.slice_at(t)
+        if sl.stop == sl.start:
+            return np.empty(0, dtype=np.intp), np.empty(0)
+        duration = self.duration[sl]
+        discount = discount_table(gamma, int(duration.max()) + 1).take(duration)
+        targets = discount * values[self.finish_t[sl], self.finish_cell[sl]] + self.reward[sl]
+        return self.start_cell[sl].astype(np.intp), targets
+
+
 def assert_same_part(got, want, horizon):
     """Two TupleArrays hold the same rows bit for bit, with the same slice at every time."""
-    for name in ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration"):
+    for name in TUPLE_COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     for t in range(horizon + 1):

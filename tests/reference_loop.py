@@ -5,7 +5,7 @@ transition: `DriverSlot`, `OrderRequest`, `State` and `TransitionTuple`.
 Its policies score each pair with the scalar reward definition and solve
 them with `km_match`. It draws from the same RNG streams in the same order as
 `dispatchlab.simulator`, so for equal inputs the columnar loop must return
-the same `TupleArrays` columns (via `TupleArrays.from_tuples`) and the same
+the same columns as its tuples stored in full (`conftest.FullPart`) and the same
 `DayMetrics`, bit for bit.
 """
 from __future__ import annotations

@@ -11,7 +11,6 @@ from dispatchlab import (
     OrderRequest,
     Scenario,
     State,
-    TupleArrays,
     ValueTable,
     apply_matching,
     build_problem,
@@ -19,10 +18,11 @@ from dispatchlab import (
 )
 from dispatchlab.gpi import myopic_policy, value_dispatch_policy
 from dispatchlab.scenario import default_scenario
+from dispatchlab.valuation import td_slice
 
 import reference_loop as ref
+from conftest import FullPart, assert_same_part
 
-COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
 TRIPLES = [(0, 0, 0), (5, 1, 3), (11, 1, 7)]  # (seed, phase, day)
 
 
@@ -65,15 +65,19 @@ def assert_same_day(world, model, kind, gamma, radius, seed, phase, day, table=N
     new_policy, old_policy = policies(kind, table, gamma, world, radius)
     arrays, metrics = run_day(world, model, new_policy, gamma, seed, phase=phase, day=day)
     tuples, ref_metrics = ref.run_day(world, model, old_policy, gamma, seed, phase=phase, day=day)
-    expected = TupleArrays.from_tuples(tuples)
-    assert len(arrays) == len(expected) > 0
-    for name in COLUMNS:
-        got, want = getattr(arrays, name), getattr(expected, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
-    assert arrays.reward.tobytes() == expected.reward.tobytes()
+    assert len(arrays) == len(tuples) > 0
+    assert_same_targets(arrays, FullPart.from_tuples(tuples), world, table.values, gamma)
     assert metrics == ref_metrics
     return metrics
+
+
+def assert_same_targets(arrays, want, world, values, gamma):
+    """Equal columns and slices, and every slice's backup targets bit for bit."""
+    assert_same_part(arrays, want, world.horizon)
+    for t in range(world.horizon):
+        got, ref_slice = td_slice([arrays], t, values, gamma), want.td_slice(t, values, gamma)
+        for a, b in zip(got, ref_slice):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), t
 
 
 @pytest.mark.parametrize("kind", ["myopic", "value"])
@@ -120,6 +124,43 @@ def test_scripted_orders_match_reference(kind, gamma):
     for seed in (0, 1, 2):
         metrics = assert_same_day(world, model, kind, gamma, None, seed, 1, 0)
         assert metrics.orders_completed >= 4
+
+
+def test_served_rows_like_idle_ones_match_reference():
+    # driver l serves order l: order 0 pays nothing for one window in its own cell, so
+    # its row equals an idle transition in every field; order 1 pays -0.0
+    world = GridWorld.lattice(1, 4, 6)
+    scripted = {
+        1: [OrderRequest(0, 0, 0.0, 1, 1), OrderRequest(2, 3, -0.0, 1, 1)],
+        3: [OrderRequest(2, 2, 0.0, 1, 3), OrderRequest(0, 3, 5.0, 2, 3)],
+    }
+    model = DemandModel(
+        rates=np.zeros((world.horizon, 4)),
+        destination=np.full((4, 4), 0.25),
+        price_per_step=np.ones(4),
+        base_fare=np.zeros(4),
+        revenue_noise=0.0,
+        driver_counts=np.array([1, 0, 1, 0]),
+        cancellation=0.0,
+        scripted_orders=scripted,
+    )
+
+    def in_turn(drivers, orders, t):
+        return [l if l < len(orders) else None for l in range(len(drivers))]
+
+    def in_turn_objects(drivers, orders, t):
+        return [(d, orders[l] if l < len(orders) else None) for l, d in enumerate(drivers)]
+
+    arrays, metrics = run_day(world, model, in_turn, 0.9, seed=0)
+    tuples, ref_metrics = ref.run_day(world, model, in_turn_objects, 0.9, seed=0)
+    values = random_table(world, 0.9).values
+    values[2:4, 0] = -0.0
+    assert_same_targets(arrays, FullPart.from_tuples(tuples), world, values, 0.9)
+    assert metrics == ref_metrics
+    # both kinds of row are there: a served one with the idle bits, and one paying -0.0
+    served_like_idle = [tr for tr in tuples if tr.order is not None and tr.reward_discounted == 0.0]
+    assert any(tr.finish.cell == tr.start.cell and tr.duration == 1 for tr in served_like_idle)
+    assert np.signbit(arrays.reward).any()
 
 
 @pytest.mark.parametrize("gamma", [0.9, 0.95, 1.0])
@@ -183,10 +224,7 @@ def test_apply_matching_matches_reference(gamma):
             gamma,
             world,
         )
-        want = TupleArrays.from_tuples(ref.apply_matching(pairs, t, gamma, world))
-        for name in COLUMNS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.reward.tobytes() == want.reward.tobytes()
+        assert_same_part(got, FullPart.from_tuples(ref.apply_matching(pairs, t, gamma, world)), 50)
 
 
 def test_dense_fleet_matches_reference():

@@ -16,6 +16,7 @@ from dispatchlab import (
     run_day,
 )
 from dispatchlab.simulator import DayStreams, window_rng
+from dispatchlab.valuation import is_idle
 
 from conftest import assert_same_part, assert_tuple_dtypes
 from test_gpi import micro_scenario
@@ -342,11 +343,15 @@ class TestRunDay:
         assert len(windows) < world.horizon
         assert_same_part(day, TupleArrays.concat(windows), world.horizon)
 
-    def test_day_stores_24_bytes_a_row(self, monkeypatch):
+    def test_day_stores_4_bytes_a_row_and_24_a_full_row(self, monkeypatch):
+        # an idle transition is its start cell alone; a served row adds its position,
+        # finish, reward and duration
         _, day, _ = self.micro_day(monkeypatch)
         stored = [getattr(day, name) for name in TupleArrays.__slots__]
         arrays = [a for a in stored if isinstance(a, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) == 24 * len(day)
+        full = np.count_nonzero(~is_idle(*(getattr(day, name) for name in TUPLE_COLUMNS)))
+        assert 0 < full < len(day)
+        assert sum(a.nbytes for a in arrays) == 4 * len(day) + 24 * full
 
     def test_day_is_reproducible(self):
         world = GridWorld.lattice(2, 2, 10)

@@ -19,11 +19,22 @@ from dispatchlab import (
     transfer_evaluate,
     truncated_discounted_reward,
 )
-from dispatchlab.valuation import backup_start, discount_table, served_transition, td_slice
+from dispatchlab.valuation import (
+    backup_start,
+    discount_table,
+    is_idle,
+    served_transition,
+    td_slice,
+)
 
-from conftest import assert_tuple_dtypes, make_world, random_buffer
-
-TUPLE_COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
+from conftest import (
+    TUPLE_COLUMNS,
+    FullPart,
+    assert_same_part,
+    assert_tuple_dtypes,
+    make_world,
+    random_buffer,
+)
 
 
 def reference_dp(tuples, T, n, gamma, init=None):
@@ -236,12 +247,90 @@ class TestTupleArrays:
         with pytest.raises(ValueError, match=f"tuple column {column} has a value outside"):
             TupleArrays(**cols)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("column", TUPLE_COLUMNS[1:])
+    def test_rejects_column_of_another_length(self, column, rows):
+        cols = {name: np.zeros(2, np.int64) for name in TUPLE_COLUMNS}
+        cols.update(finish_t=np.ones(2, np.int64), reward=np.zeros(2))
+        cols[column] = np.ones(rows, cols[column].dtype)
+        with pytest.raises(ValueError, match=rf"tuple column {column} has shape \({rows},\)"):
+            TupleArrays(**cols)
+
     def test_rejects_negative_start_time(self):
         # bounds have no place for a time below 0: such a row would drop out of every slice
         cols = {name: np.zeros(3, np.int32) for name in TUPLE_COLUMNS}
         cols.update(start_t=np.array([0, -1, 2]), finish_t=np.array([1, 0, 3]), reward=np.zeros(3))
         with pytest.raises(ValueError, match="tuple column start_t has a value below 0"):
             TupleArrays(**cols)
+
+
+def mixed_columns(rng, world, n):
+    """Columns of n rows in random start-time order: idle transitions, and rows
+    that differ from one in a single field (reward -0.0 among them) or in all."""
+    T, cells = world.horizon, world.n_cells
+    start_t = rng.integers(0, T, n)
+    start_cell = rng.integers(0, cells, n)
+    finish_t, finish_cell = start_t + 1, start_cell.copy()
+    reward, duration = np.zeros(n), np.ones(n, np.int64)
+    kind = rng.integers(0, 6, n)
+    reward[kind == 1] = -0.0
+    finish_cell[kind == 2] = (start_cell[kind == 2] + 1) % cells
+    duration[kind == 3] = 2
+    reward[kind == 4] = rng.random(np.count_nonzero(kind == 4)) * 5.0
+    moved = kind == 5
+    duration[moved] = rng.integers(1, 4, np.count_nonzero(moved))
+    finish_t[moved] = np.minimum(start_t[moved] + duration[moved], T)
+    finish_cell[moved] = rng.integers(0, cells, np.count_nonzero(moved))
+    reward[moved] = rng.random(np.count_nonzero(moved)) * 5.0
+    return start_t, start_cell, finish_t, finish_cell, reward, duration
+
+
+class TestIdleForm:
+    """An idle transition is stored as its start cell alone, losslessly."""
+
+    WORLD = make_world(4, 8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_equal_full_reference(self, seed):
+        cols = mixed_columns(np.random.default_rng(seed), self.WORLD, 120)
+        arr = TupleArrays(*cols)
+        want = FullPart(*cols)
+        assert_tuple_dtypes(arr)
+        assert_same_part(arr, want, self.WORLD.horizon)
+        # -0.0 is not the idle reward: those rows keep their sign
+        assert np.array_equal(np.signbit(arr.reward), np.signbit(want.reward))
+        full = np.count_nonzero(~is_idle(*cols))
+        assert 0 < full < len(arr)
+        stored = [getattr(arr, name) for name in TupleArrays.__slots__]
+        nbytes = sum(a.nbytes for a in stored if isinstance(a, np.ndarray))
+        assert nbytes == 4 * len(arr) + 24 * full
+
+    def test_idle_means_equal_bits(self):
+        # an idle row, then one field off in each other row: reward -0.0 among them
+        start_t, start_cell = np.full(6, 3), np.full(6, 1)
+        finish_t = np.array([4, 4, 5, 4, 4, 4])
+        finish_cell = np.array([1, 1, 1, 2, 1, 1])
+        reward = np.array([0.0, -0.0, 0.0, 0.0, 0.0, 1e-300])
+        duration = np.array([1, 1, 1, 1, 2, 1])
+        idle = is_idle(start_t, start_cell, finish_t, finish_cell, reward, duration)
+        assert idle.tolist() == [True] + [False] * 5
+
+    @pytest.mark.parametrize("gamma", [0.9, 1.0])
+    def test_td_slice_equals_full_formula(self, gamma):
+        rng = np.random.default_rng(6)
+        columns = [mixed_columns(rng, self.WORLD, k) for k in (70, 0, 45, 90)]
+        parts = [TupleArrays(*cols) for cols in columns]
+        want = FullPart(*(np.concatenate(col) for col in zip(*columns)))
+        T, n = self.WORLD.horizon, self.WORLD.n_cells
+        values = rng.normal(size=(T + 1, n))
+        # a -0.0 value turns into +0.0 only through the reward added to it
+        values[rng.random((T + 1, n)) < 0.3] = -0.0
+        values[T] = 0.0
+        for t in range(T):
+            got = td_slice(parts, t, values, gamma)
+            ref = want.td_slice(t, values, gamma)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), t
 
 
 class TestDpEvaluate:
@@ -503,8 +592,9 @@ class TestDayParts:
         arr = self.parts([60])[0]
         backup_start([arr], self.WORLD)
         for k, t in enumerate(arr.start_t.tolist()):
-            stalled = TupleArrays(*(getattr(arr, name) for name in TUPLE_COLUMNS))
-            stalled.finish_t[k] = t
+            columns = {name: getattr(arr, name).copy() for name in TUPLE_COLUMNS}
+            columns["finish_t"][k] = t
+            stalled = TupleArrays(**columns)
             with pytest.raises(ValueError, match="finish.t"):
                 backup_start([arr, stalled], self.WORLD)
 
