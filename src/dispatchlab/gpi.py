@@ -47,12 +47,6 @@ class Buffer:
     source_days: List[TupleArrays] = field(default_factory=list)
     target_days: List[TupleArrays] = field(default_factory=list)
 
-    def add_source_day(self, arr: TupleArrays) -> None:
-        self.source_days.append(arr)
-
-    def add_target_day(self, arr: TupleArrays) -> None:
-        self.target_days.append(arr)
-
     def source_arrays(self) -> List[TupleArrays]:
         return list(self.source_days)
 
@@ -196,7 +190,7 @@ def _gpi_passes(
         tuples, metrics = run_day(
             world, target_model, policy, gamma, scenario.seed + seed, phase=PHASE_TARGET, day=day
         )
-        buffer.add_target_day(tuples)
+        buffer.target_days.append(tuples)
         yield metrics, value, prev
         prev = value
 

@@ -16,14 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .valuation import (
-    FULL_DTYPE,
-    INDEX_DTYPE,
-    TupleArrays,
-    discount_table,
-    full_entries,
-    served_transition,
-)
+from .valuation import INDEX_DTYPE, TupleArrays, discount_table, served_transition
 from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, OrderBatch
 
 # A policy maps (drivers, orders, t) to one entry per driver: the index of
@@ -31,7 +24,6 @@ from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, Ord
 Policy = Callable[[DriverBatch, OrderBatch, int], Sequence[Optional[int]]]
 
 EMPTY_IDS = np.empty(0, dtype=np.int64)
-NO_FULL_ROWS = np.empty(0, dtype=FULL_DTYPE)
 
 
 @dataclass
@@ -261,19 +253,17 @@ def apply_matching(
     ko = k[serve]
     if ko.size and (ko.max() >= len(orders) or np.bincount(ko).max() > 1):
         raise ConstraintViolation("an order is assigned to two drivers or does not exist")
-    # every row starts at t, so the part adopts the columns, built as INDEX_DTYPE;
-    # it keeps the serving drivers' rows in full and derives the idle ones
-    start_cell = drivers.cell.astype(INDEX_DTYPE)
-    if not ko.size:
-        return TupleArrays._adopt([t], [m], [0], start_cell, NO_FULL_ROWS)
     pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[ko]]
     trip = orders.duration[ko]
-    powers = discount_table(gamma, int(pickup.max() + trip.max()) + 1)
+    powers = discount_table(gamma, int(pickup.max(initial=0) + trip.max(initial=0)) + 1)
     duration, finish_t, reward = served_transition(
         t, pickup, trip, orders.revenue[ko], T, gamma, powers
     )
-    full = full_entries(serve, finish_t, orders.destination[ko], duration, reward)
-    return TupleArrays._adopt([t], [m], [len(serve)], start_cell, full)
+    # the part keeps the serving drivers' rows in full and derives the idle ones
+    start_cell = drivers.cell.astype(INDEX_DTYPE)
+    return TupleArrays.window(
+        t, start_cell, serve, finish_t, orders.destination[ko], duration, reward
+    )
 
 
 def run_day(
@@ -297,8 +287,7 @@ def run_day(
     pool = DriverPool(model.driver_counts)
     streams = DayStreams(seed, phase, day, world.horizon)
     metrics = DayMetrics()
-    # an empty first part gives each column its dtype if no window has drivers
-    windows = [TupleArrays.concat([])]
+    windows = []
     for t in range(world.horizon):
         orders, drivers = generate_window(model, world, t, streams.rng(t), pool)
         metrics.orders_created += len(orders)
@@ -317,12 +306,12 @@ def run_day(
         window = apply_matching(drivers, orders, k, gamma, world)
         # the window keeps the serving drivers' rows in full, in driver order:
         # plain left-to-right float additions
-        served = window._full
-        for r in served["reward"].tolist():
+        for r in window.full_reward.tolist():
             metrics.reward += r
         # every driver waits one window where it is, unless it serves an order
         pool.busy_until[drivers.driver_id] = t + 1
-        pool.occupy(drivers.driver_id[served["row"]], served["finish_t"], served["finish_cell"])
+        full = window.full
+        pool.occupy(drivers.driver_id[full[:, 0]], full[:, 1], full[:, 2])
         windows.append(window)
     # the windows come in start-time order: the day joins them, unsorted
-    return TupleArrays._chain(windows), metrics
+    return TupleArrays.join(windows), metrics

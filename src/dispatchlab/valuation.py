@@ -6,7 +6,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -190,35 +190,10 @@ def is_idle(start_t, start_cell, finish_t, finish_cell, reward, duration) -> np.
 # the columns of a TupleArrays, in constructor order
 COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
 
-# what a TupleArrays stores for each row it keeps in full, 24 bytes: the row's
-# position among the rows of its start time, then its own columns
-FULL_DTYPE = np.dtype(
-    [
-        ("row", INDEX_DTYPE),
-        ("finish_t", INDEX_DTYPE),
-        ("finish_cell", INDEX_DTYPE),
-        ("duration", INDEX_DTYPE),
-        ("reward", np.float64),
-    ]
-)
-
 
 def _joined(pieces: List[np.ndarray]) -> np.ndarray:
-    """The arrays end to end, or a lone one as it is. FULL_DTYPE arrays are
-    joined as bytes: numpy joins structured arrays about 4x slower."""
-    if len(pieces) == 1:
-        return pieces[0]
-    if pieces[0].dtype == FULL_DTYPE:
-        return np.concatenate([p.view(np.uint8) for p in pieces]).view(FULL_DTYPE)
-    return np.concatenate(pieces)
-
-
-def full_entries(row, finish_t, finish_cell, duration, reward) -> np.ndarray:
-    """The FULL_DTYPE entries of rows kept in full, one per element."""
-    full = np.empty(len(row), dtype=FULL_DTYPE)
-    for name, column in zip(FULL_DTYPE.names, (row, finish_t, finish_cell, duration, reward)):
-        full[name] = column
-    return full
+    """The arrays end to end, or a lone one as it is."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 class TupleArrays:
@@ -226,22 +201,25 @@ class TupleArrays:
 
     Most rows of a simulated day are idle transitions (see `is_idle`), whose
     finish, reward and duration follow from the row's start. So every row
-    stores only its INDEX_DTYPE `start_cell`, and the rows kept in full also
-    have an entry of `_full` (FULL_DTYPE), in row order: an idle row costs 4
-    bytes, a full one 28. The public constructor keeps a row in full unless
-    it is an idle transition; `_adopt` may also be given idle transitions
-    to keep in full, which changes no column.
+    stores only its INDEX_DTYPE `start_cell`, and each row kept in full also
+    has a row of `full`, in row order: a C-contiguous INDEX_DTYPE block whose
+    columns are the row's position among the rows of its start time, its
+    `finish_t`, `finish_cell` and `duration`, with its float64 reward in
+    `full_reward`. An idle row costs 4 bytes, a full one 28. The sorting
+    constructor keeps a row in full unless it is an idle transition;
+    `window` may also be given idle transitions to keep in full, which
+    changes no column.
 
     Start times are kept per time, not per row: `_times` lists the start
     times that have rows, ascending; rows `_bounds[i]` to `_bounds[i + 1]`
-    start at `_times[i]`, and entries `_kept[i]` to `_kept[i + 1]` of
-    `_full` are the full ones among them. All three are short Python
-    lists, so `slice_at` is a bisection with no numpy call. `start_t`,
-    `finish_t`, `finish_cell`, `reward` and `duration` are derived as new
-    read-only full columns.
+    start at `_times[i]`, and rows `_kept[i]` to `_kept[i + 1]` of `full`
+    are the full ones among them. All three are short Python lists, so
+    `slice_at` is a bisection with no numpy call. `start_t`, `finish_t`,
+    `finish_cell`, `reward` and `duration` are derived as new read-only
+    full columns.
     """
 
-    __slots__ = ("start_cell", "_full", "_times", "_bounds", "_kept")
+    __slots__ = ("start_cell", "full", "full_reward", "_times", "_bounds", "_kept")
 
     def __init__(self, start_t, start_cell, finish_t, finish_cell, reward, duration):
         """A stably start-time-sorted copy of the columns: never a view of them."""
@@ -259,59 +237,69 @@ class TupleArrays:
         sorted_t = start_t[order]
         if rows and sorted_t[0] < 0:
             raise ValueError("tuple column start_t has a value below 0")
-        # the first row of each start time, then the end
+        # the first row of each start time, and how many rows start then
         firsts = np.flatnonzero(np.diff(sorted_t, prepend=-1))
+        counts = np.diff(firsts, append=rows)
         keep = (~is_idle(start_t, start_cell, finish_t, finish_cell, reward, duration))[order]
         kept = np.flatnonzero(keep)
         source = order[kept]
-        # each kept row's position among the rows of its start time
-        first = firsts[np.searchsorted(firsts, kept, side="right") - 1]
-        self._times = sorted_t[firsts].tolist()
-        self._bounds = np.append(firsts, rows).tolist()
-        self._kept = np.append(np.searchsorted(kept, firsts), len(kept)).tolist()
-        self.start_cell = start_cell[order]
-        self._full = full_entries(
-            kept - first, finish_t[source], finish_cell[source], duration[source], reward[source]
+        # each full row's position among the rows of its start time, then its fields
+        position = kept - np.repeat(firsts, counts)[kept]
+        full = np.empty((len(kept), 4), INDEX_DTYPE)
+        full.T[:] = position, finish_t[source], finish_cell[source], duration[source]
+        self._set(
+            sorted_t[firsts].tolist(),
+            counts.tolist(),
+            np.diff(np.searchsorted(kept, firsts), append=len(kept)).tolist(),
+            start_cell[order],
+            full,
+            reward[source],
         )
 
-    @classmethod
-    def _adopt(cls, times, counts, kept, start_cell, full) -> "TupleArrays":
-        """A part that takes the given columns as they are: no check, sort or copy.
+    def _set(self, times, counts, kept, start_cell, full, full_reward) -> "TupleArrays":
+        """Take the columns as they are: the first `counts[0]` rows start at
+        `times[0]` and the first `kept[0]` rows of `full` are theirs, and so
+        on, with `times` ascending. A time with a count of 0 is left out."""
+        self._times = [t for t, k in zip(times, counts) if k]
+        self._bounds = list(accumulate((k for k in counts if k), initial=0))
+        self._kept = list(accumulate((j for j, k in zip(kept, counts) if k), initial=0))
+        self.start_cell, self.full, self.full_reward = start_cell, full, full_reward
+        return self
 
-        The caller builds `start_cell` (INDEX_DTYPE) and `full` (FULL_DTYPE)
-        already in start-time order and hands them over: the first `counts[0]`
-        rows start at `times[0]`, the next `counts[1]` at `times[1]`, and so
-        on, with `times` ascending. The first `kept[0]` entries of `full`
-        are rows of `times[0]` kept in full, in row order, the next `kept[1]`
-        of `times[1]`, and so on; every other row must be an idle transition.
-        A time with a count of 0 keeps 0 rows.
+    @classmethod
+    def window(cls, t, start_cell, rows, finish_t, finish_cell, duration, reward) -> "TupleArrays":
+        """One window's part: every row starts at time t, with no check or sort.
+
+        `start_cell` (INDEX_DTYPE) is kept as it is. The rows at positions
+        `rows`, ascending, are kept in full with the given finish, duration
+        and float64 `reward`; every other row must be an idle transition.
         """
-        arr = cls.__new__(cls)
-        arr._times = [t for t, k in zip(times, counts) if k]
-        arr._bounds = list(accumulate((k for k in counts if k), initial=0))
-        arr._kept = list(accumulate((j for j, k in zip(kept, counts) if k), initial=0))
-        arr.start_cell, arr._full = start_cell, full
-        return arr
+        full = np.empty((len(rows), 4), INDEX_DTYPE)
+        full.T[:] = rows, finish_t, finish_cell, duration
+        return cls.__new__(cls)._set([t], [len(start_cell)], [len(full)], start_cell, full, reward)
 
     @classmethod
-    def _chain(cls, parts: Sequence["TupleArrays"]) -> "TupleArrays":
-        """The parts joined in the order given, without a sort: each part's
-        start times must all come after the previous parts'."""
-        return cls._adopt(
+    def join(cls, parts: Sequence["TupleArrays"]) -> "TupleArrays":
+        """The parts end to end, without a sort: each part's start times must
+        all come after the previous parts'. `join([])` is the empty part."""
+        if not parts:
+            return cls(*[()] * 6)
+        return cls.__new__(cls)._set(
             [t for p in parts for t in p._times],
             [b - a for p in parts for a, b in zip(p._bounds, p._bounds[1:])],
             [b - a for p in parts for a, b in zip(p._kept, p._kept[1:])],
             _joined([p.start_cell for p in parts]),
-            _joined([p._full for p in parts]),
+            _joined([p.full for p in parts]),
+            _joined([p.full_reward for p in parts]),
         )
 
     def __len__(self) -> int:
         return len(self.start_cell)
 
-    def _derived(self, column: np.ndarray, name: str) -> np.ndarray:
-        """`column`, which holds the idle rows' values, with the full rows' in place."""
+    def _derived(self, column: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """`column`, which holds the idle rows' values, with the full rows' `values` in place."""
         firsts = np.repeat(np.array(self._bounds[:-1], dtype=INDEX_DTYPE), np.diff(self._kept))
-        column[firsts + self._full["row"]] = self._full[name]
+        column[firsts + self.full[:, 0]] = values
         column.flags.writeable = False
         return column
 
@@ -324,19 +312,19 @@ class TupleArrays:
 
     @property
     def finish_t(self) -> np.ndarray:
-        return self._derived(self.start_t + 1, "finish_t")
+        return self._derived(self.start_t + 1, self.full[:, 1])
 
     @property
     def finish_cell(self) -> np.ndarray:
-        return self._derived(self.start_cell.copy(), "finish_cell")
+        return self._derived(self.start_cell.copy(), self.full[:, 2])
 
     @property
     def reward(self) -> np.ndarray:
-        return self._derived(np.zeros(len(self)), "reward")
+        return self._derived(np.zeros(len(self)), self.full_reward)
 
     @property
     def duration(self) -> np.ndarray:
-        return self._derived(np.ones(len(self), dtype=INDEX_DTYPE), "duration")
+        return self._derived(np.ones(len(self), dtype=INDEX_DTYPE), self.full[:, 3])
 
     @classmethod
     def from_tuples(cls, tuples: Sequence[TransitionTuple]) -> "TupleArrays":
@@ -347,22 +335,9 @@ class TupleArrays:
         # the constructor range-checks the Python ints as it builds the columns
         return cls(*(list(zip(*rows)) or [()] * 6))
 
-    @classmethod
-    def concat(cls, parts: Iterable["TupleArrays"]) -> "TupleArrays":
-        """The parts merged into one sorted copy, stably by start time."""
-        parts = list(parts)
-        if not parts:
-            return cls(*[np.empty(0)] * 6)
-        return cls(
-            *(
-                np.concatenate([getattr(p, name) for p in parts])
-                for name in COLUMNS
-            )
-        )
-
     def _span(self, t: int) -> Optional[Tuple[int, int, int, int]]:
         """(first, end) of the rows that start at t and (first, end) of their
-        entries in `_full`; None if no row starts at t."""
+        rows in `full`; None if no row starts at t."""
         times = self._times
         i = bisect_left(times, t)
         if i == len(times) or times[i] != t:
@@ -394,7 +369,9 @@ def as_parts(buffer: BufferLike) -> List[TupleArrays]:
 def as_arrays(buffer: BufferLike) -> TupleArrays:
     """The buffer as one `TupleArrays`: its parts merged, stably by start time."""
     parts = as_parts(buffer)
-    return parts[0] if len(parts) == 1 else TupleArrays.concat(parts)
+    if len(parts) < 2:
+        return TupleArrays.join(parts)
+    return TupleArrays(*(np.concatenate([getattr(p, name) for p in parts]) for name in COLUMNS))
 
 
 def backup_start(
@@ -409,7 +386,6 @@ def backup_start(
     """
     parts = as_parts(buffer)
     T, n = world.horizon, world.n_cells
-    ends = {"finish_t": T + 1, "finish_cell": n}
     for arr in parts:
         if not len(arr):
             continue
@@ -419,17 +395,16 @@ def backup_start(
         if arr.start_cell.min() < 0 or arr.start_cell.max() >= n:
             raise ValueError(f"tuple column start_cell has a value outside [0, {n})")
         # an idle row finishes at t + 1 <= T in its own cell: only full rows can break a rule
-        full = arr._full
+        full = arr.full
         if not len(full):
             continue
-        for name, end in ends.items():
-            column = full[name]
+        for name, column, end in (("finish_t", full[:, 1], T + 1), ("finish_cell", full[:, 2], n)):
             if column.min() < 0 or column.max() >= end:
                 raise ValueError(f"tuple column {name} has a value outside [0, {end})")
         # the earliest finish among the full rows of each start time that has any
         kept = arr._kept
         firsts = [i for i in range(len(arr._times)) if kept[i] < kept[i + 1]]
-        earliest = np.minimum.reduceat(full["finish_t"], [kept[i] for i in firsts])
+        earliest = np.minimum.reduceat(full[:, 1], [kept[i] for i in firsts])
         if np.any(earliest <= [arr._times[i] for i in firsts]):
             raise ValueError("all tuples must satisfy finish.t > start.t")
     if init is None:
@@ -455,7 +430,7 @@ def td_slice(
 
     The rows come part by part, each part in its own order: the order of
     slice t of the stable start-time sort of all parts joined, so the
-    result equals the slice of `TupleArrays.concat(parts)` bit for bit.
+    result equals the slice of `as_arrays(parts)` bit for bit.
     """
     spans = [(arr, span) for arr in parts if (span := arr._span(t)) is not None]
     if not spans:
@@ -464,20 +439,24 @@ def td_slice(
     # cast once: the callers gather by cell several times per slice, and numpy
     # gathers about 3x slower by int32 indices than by intp ones
     cells = _joined([arr.start_cell[a:b] for arr, (a, b, _, _) in spans]).astype(np.intp)
-    full = _joined([arr._full[ka:kb] for arr, (_, _, ka, kb) in spans])
-    duration = full["duration"]
+    full = _joined([arr.full[ka:kb] for arr, (_, _, ka, kb) in spans])
+    duration = full[:, 3]
     powers = discount_table(gamma, int(duration.max(initial=1)) + 1)
     # every row's target as an idle row's, gamma^1 * V(t + 1, cell) + 0.0, then
     # the full rows' in their places: the same operations as for the full columns
     targets = powers[1] * values[t + 1].take(cells) + 0.0
     if len(full):
-        rows = full["row"]
+        rows = full[:, 0]
         if len(spans) > 1:
             # each part's rows at t follow the rows of the parts before it
-            starts = accumulate((b - a for _, (a, b, _, _) in spans), initial=0)
-            rows = rows + np.repeat(list(starts)[:-1], [kb - ka for _, (_, _, ka, kb) in spans])
-        finish = values[full["finish_t"], full["finish_cell"]]
-        targets[rows] = powers.take(duration) * finish + full["reward"]
+            offsets, counts, start = [], [], 0
+            for _, (a, b, ka, kb) in spans:
+                offsets.append(start)
+                counts.append(kb - ka)
+                start += b - a
+            rows = rows + np.repeat(offsets, counts)
+        reward = _joined([arr.full_reward[ka:kb] for arr, (_, _, ka, kb) in spans])
+        targets[rows] = powers.take(duration) * values[full[:, 1], full[:, 2]] + reward
     return cells, targets
 
 

@@ -36,6 +36,7 @@ from dispatchlab.transfer import (
     penalized_objective,
     solve_time_step,
 )
+from dispatchlab.valuation import as_arrays
 
 from conftest import (
     ACCEPTANCE_LINES,
@@ -224,8 +225,8 @@ def test_criterion_6_default_scenario_concordance():
         t, _ = run_day(world, tgt_model, policy, gamma, 0, phase=1, day=day)
         src_days.append(s)
         tgt_days.append(t)
-    v_src = dp_evaluate(TupleArrays.concat(src_days), world, gamma)
-    v_tgt = dp_evaluate(TupleArrays.concat(tgt_days), world, gamma)
+    v_src = dp_evaluate(as_arrays(src_days), world, gamma)
+    v_tgt = dp_evaluate(as_arrays(tgt_days), world, gamma)
     spec = sc.concordance_spec(v_src)
     rate = concordance_rate_report(v_src, v_tgt, spec).aggregate
     elapsed = time.perf_counter() - start

@@ -16,7 +16,7 @@ from dispatchlab import (
 )
 from dispatchlab.valuation import TupleArrays, as_arrays
 
-from conftest import make_world, random_buffer
+from conftest import FullPart, assert_same_part, make_world, random_buffer
 
 
 def micro_scenario(**overrides):
@@ -53,12 +53,9 @@ class TestEvaluatePolicyValue:
     def setup_method(self):
         self.world = make_world(4, 8)
         rng = np.random.default_rng(2)
-        self.buffer = Buffer()
-        self.buffer.add_source_day(
-            TupleArrays.from_tuples(random_buffer(rng, self.world, 60))
-        )
-        self.buffer.add_target_day(
-            TupleArrays.from_tuples(random_buffer(rng, self.world, 60))
+        self.buffer = Buffer(
+            source_days=[TupleArrays.from_tuples(random_buffer(rng, self.world, 60))],
+            target_days=[TupleArrays.from_tuples(random_buffer(rng, self.world, 60))],
         )
         self.v_src = ValueTable.zeros(8, 4, 0.9)
         self.spec = ConcordanceSpec(pairs=[(0, 3)], lam=0.0)
@@ -120,24 +117,31 @@ class TestEvaluatePolicyValue:
 
 
 class TestBuffer:
-    COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
+    WORLD = make_world(4, 8)
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(5)
+        self.tuples = {}
+
+    def day(self):
+        """A day part, with its tuples kept for the full-column reference."""
+        tuples = random_buffer(self.rng, self.WORLD, 40)
+        part = TupleArrays.from_tuples(tuples)
+        self.tuples[part] = tuples
+        return part
 
     def assert_same(self, got, parts):
         assert all(a is b for a, b in zip(got, parts)) and len(got) == len(parts)
-        merged, want = as_arrays(got), TupleArrays.concat(parts)
-        for name in self.COLUMNS:
-            assert np.array_equal(getattr(merged, name), getattr(want, name)), name
+        want = FullPart.from_tuples([tr for part in parts for tr in self.tuples[part]])
+        assert_same_part(as_arrays(got), want, self.WORLD.horizon)
 
     def test_merged_views_equal_concat_of_parts(self):
-        world = make_world(4, 8)
-        rng = np.random.default_rng(5)
-        day = lambda: TupleArrays.from_tuples(random_buffer(rng, world, 40))  # noqa: E731
-        buffer = Buffer(source_days=[day(), day()])
+        buffer = Buffer(source_days=[self.day(), self.day()])
         self.assert_same(buffer.source_arrays(), buffer.source_days)
         self.assert_same(buffer.all_arrays(), buffer.source_days)
         assert buffer.target_arrays() == []
         for _ in range(4):
-            buffer.add_target_day(day())
+            buffer.target_days.append(self.day())
             self.assert_same(buffer.target_arrays(), buffer.target_days)
             self.assert_same(buffer.all_arrays(), buffer.source_days + buffer.target_days)
         buffer.target_days = buffer.target_days[1:]

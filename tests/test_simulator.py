@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dispatchlab import (
+    ConcordanceSpec,
     ConstraintViolation,
     DemandModel,
     DriverBatch,
@@ -10,13 +11,16 @@ from dispatchlab import (
     OrderBatch,
     OrderRequest,
     TupleArrays,
+    ValueTable,
     apply_matching,
     discounted_reward,
+    dp_evaluate,
     generate_window,
     run_day,
+    transfer_evaluate,
 )
 from dispatchlab.simulator import DayStreams, window_rng
-from dispatchlab.valuation import is_idle
+from dispatchlab.valuation import as_arrays, is_idle
 
 from conftest import assert_same_part, assert_tuple_dtypes
 from test_gpi import micro_scenario
@@ -190,13 +194,25 @@ class TestApplyMatching:
         # only the first of three installments fits into the day
         assert arr.reward[0] == pytest.approx(10.0 / 3)
 
-    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("m", [0, 1, 3, 5])
     def test_part_equals_sorting_constructor(self, m):
-        # the window's columns are adopted as built, in the order a sort would give
-        drivers = DriverBatch(np.arange(m), [0, 1, 0][:m], 5)
-        orders = OrderBatch.from_requests([OrderRequest(0, 1, 10.0, 2, 5)], 5)
-        arr = apply_matching(drivers, orders, [0, None, None][:m], 0.9, self.world)
+        # the window's columns are kept as built, in the order a sort would give.
+        # Driver 3 serves a zero-revenue one-window order in its own cell, a row
+        # with the idle transition's bits; driver 4 earns a reward of -0.0
+        drivers = DriverBatch(np.arange(m), [0, 1, 0, 1, 0][:m], 5)
+        requests = [
+            OrderRequest(0, 1, 10.0, 2, 5),
+            OrderRequest(1, 1, 0.0, 1, 5),
+            OrderRequest(0, 1, -0.0, 1, 5),
+        ]
+        orders = OrderBatch.from_requests(requests, 5)
+        assignment = [0, None, None, 1, 2][:m]
+        arr = apply_matching(drivers, orders, assignment, 0.9, self.world)
         assert len(arr) == m
+        # every serving driver's row is kept in full, the idle-equal one too,
+        # and the -0.0 reward keeps its sign
+        assert len(arr.full) == len(arr.full_reward) == m - assignment.count(None)
+        assert np.count_nonzero(np.signbit(arr.reward)) == (m == 5)
         want = TupleArrays(*(getattr(arr, name) for name in TUPLE_COLUMNS))
         assert_same_part(arr, want, self.world.horizon)
 
@@ -341,7 +357,7 @@ class TestRunDay:
         # some windows serve several drivers, and some time has no idle driver
         assert max(map(len, windows)) > 1
         assert len(windows) < world.horizon
-        assert_same_part(day, TupleArrays.concat(windows), world.horizon)
+        assert_same_part(day, as_arrays(windows), world.horizon)
 
     def test_day_stores_4_bytes_a_row_and_24_a_full_row(self, monkeypatch):
         # an idle transition is its start cell alone; a served row adds its position,
@@ -352,6 +368,19 @@ class TestRunDay:
         full = np.count_nonzero(~is_idle(*(getattr(day, name) for name in TUPLE_COLUMNS)))
         assert 0 < full < len(day)
         assert sum(a.nbytes for a in arrays) == 4 * len(day) + 24 * full
+
+    def test_day_without_drivers_is_an_empty_part(self):
+        world = GridWorld(2, 6, np.ones((2, 2)))
+        model = flat_model(world, 0.5)
+        tuples, metrics = run_day(world, model, greedy_for(world, 0.9), 0.9, seed=0)
+        assert metrics.orders_created > 0 and metrics.orders_answered == 0
+        assert len(tuples) == 0 and tuples.slice_at(0) == slice(0, 0)
+        assert_tuple_dtypes(tuples)
+        assert np.all(dp_evaluate(tuples, world, 0.9).values == 0.0)
+        v_src = ValueTable(np.vstack([np.ones((6, 2)), np.zeros(2)]), 0.9)
+        spec = ConcordanceSpec(pairs=[(0, 1)], lam=1.0)
+        table = transfer_evaluate([tuples, tuples], v_src, spec, world, 0.9)
+        assert np.all(table.values == 0.0)
 
     def test_day_is_reproducible(self):
         world = GridWorld.lattice(2, 2, 10)

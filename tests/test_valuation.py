@@ -20,6 +20,7 @@ from dispatchlab import (
     truncated_discounted_reward,
 )
 from dispatchlab.valuation import (
+    as_arrays,
     backup_start,
     discount_table,
     is_idle,
@@ -201,18 +202,16 @@ class TestTupleArrays:
         rng = np.random.default_rng(1)
         a = random_buffer(rng, world, 15)
         b = random_buffer(rng, world, 25)
-        merged = TupleArrays.concat(
-            [TupleArrays.from_tuples(a), TupleArrays.from_tuples(b)]
-        )
+        merged = as_arrays([TupleArrays.from_tuples(a), TupleArrays.from_tuples(b)])
         direct = TupleArrays.from_tuples(a + b)
         assert_tuple_dtypes(merged)
         assert len(merged) == len(direct)
         assert sorted(merged.reward) == pytest.approx(sorted(direct.reward))
 
     def test_concat_empty(self):
-        arr = TupleArrays.concat([])
-        assert len(arr) == 0
-        assert_tuple_dtypes(arr)
+        for arr in (as_arrays([]), TupleArrays.join([])):
+            assert len(arr) == 0
+            assert_tuple_dtypes(arr)
 
     @pytest.mark.parametrize(
         "start_t,dtype",
@@ -552,7 +551,7 @@ class TestDayParts:
     @pytest.mark.parametrize("sizes", list(SIZES.values()), ids=list(SIZES))
     def test_slices_equal_slices_of_concat(self, sizes):
         parts = self.parts(sizes)
-        merged = [TupleArrays.concat(parts)]
+        merged = [as_arrays(parts)]
         values = np.random.default_rng(9).random((self.WORLD.horizon + 1, self.WORLD.n_cells))
         for t in range(self.WORLD.horizon):
             got = td_slice(parts, t, values, 0.9)
@@ -565,7 +564,7 @@ class TestDayParts:
     def test_evaluators_equal_on_concat(self, evaluate, sizes):
         parts = self.parts(sizes)
         got = evaluate(parts, self.WORLD, 0.9).values
-        want = evaluate(TupleArrays.concat(parts), self.WORLD, 0.9).values
+        want = evaluate(as_arrays(parts), self.WORLD, 0.9).values
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
