@@ -14,7 +14,6 @@ from .world import (
 from .valuation import (
     TupleArrays,
     ValueTable,
-    discounted_reward,
     dp_evaluate,
     q_value,
     td_evaluate,

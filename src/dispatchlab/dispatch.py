@@ -6,7 +6,7 @@ weight bipartite matching on each pair's gain over staying idle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -21,16 +21,13 @@ class MatchProblem:
     """One window's driver x order score matrix.
 
     scores has shape (m, n + 1); column 0 is the null (stay idle) option.
-    feasible mirrors that shape; column 0 is always feasible. row_offsets
-    records per-row constants removed by advantage_transform so the original
-    objective stays recoverable.
+    feasible mirrors that shape; column 0 is always feasible.
     """
 
     drivers: DriverBatch
     orders: OrderBatch
     scores: np.ndarray
     feasible: np.ndarray
-    row_offsets: np.ndarray = field(default=None)
 
     def __post_init__(self):
         m, w = self.scores.shape
@@ -42,8 +39,6 @@ class MatchProblem:
             raise ValueError("feasibility mask shape must match scores")
         if not self.feasible[:, 0].all():
             raise ValueError("the null option must always be feasible")
-        if self.row_offsets is None:
-            self.row_offsets = np.zeros(m)
 
 
 @dataclass
@@ -104,16 +99,11 @@ def build_problem(
 def advantage_transform(p: MatchProblem) -> MatchProblem:
     """Subtract each row's null value from the whole row.
 
-    The optimal assignment is unchanged; the subtracted constants are stored
-    so the original objective can be recovered.
+    The optimal assignment is unchanged; the objective is then the total gain
+    over leaving every driver idle.
     """
-    offsets = p.scores[:, 0].copy()
     return MatchProblem(
-        p.drivers,
-        p.orders,
-        p.scores - offsets[:, None],
-        p.feasible.copy(),
-        row_offsets=p.row_offsets + offsets,
+        p.drivers, p.orders, p.scores - p.scores[:, :1], p.feasible.copy()
     )
 
 

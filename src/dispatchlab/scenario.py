@@ -286,13 +286,11 @@ class Scenario:
         profile = level + np.exp(-(((t - peak) / width) ** 2))
         return profile / profile.mean()
 
-    def _destination_matrix(self, base: np.ndarray) -> np.ndarray:
+    def _destination_distribution(self, base: np.ndarray) -> np.ndarray:
         w = self.raw["demand"].get("dest_hot_weight", 0.75)
-        n = self.n_cells
         attract = base / base.sum()
-        row = w * attract + (1.0 - w) / n
-        row = row / row.sum()
-        return np.tile(row, (n, 1))
+        row = w * attract + (1.0 - w) / self.n_cells
+        return row / row.sum()
 
     def _driver_counts(self, base: np.ndarray) -> np.ndarray:
         total = self.raw["drivers"]
@@ -315,9 +313,9 @@ class Scenario:
         rates = np.outer(self._time_profile(peak_shift), base)
         return DemandModel(
             rates=rates,
-            destination=self._destination_matrix(base),
-            price_per_step=np.full(self.n_cells, rev.get("price_per_step", 1.0)),
-            base_fare=np.full(self.n_cells, rev.get("base_fare", 0.0)),
+            destination=self._destination_distribution(base),
+            price_per_step=rev.get("price_per_step", 1.0),
+            base_fare=rev.get("base_fare", 0.0),
             revenue_noise=rev.get("noise", 0.2),
             driver_counts=self._driver_counts(base),
             cancellation=self.raw.get("cancellation", 0.0),

@@ -193,11 +193,11 @@ def generate_window(
 ) -> Tuple[OrderBatch, DriverBatch]:
     """Draw this window's orders and list the idle drivers.
 
-    Order counts are Poisson per cell; destinations follow the model's
-    destination rows; revenue is distance-proportional with multiplicative
-    noise; duration is the origin-destination travel time. The draws are, in
-    order: poisson counts, one uniform per order for its destination, one
-    revenue-noise factor per order.
+    Order counts are Poisson per cell; destinations follow the model's one
+    destination distribution; revenue is distance-proportional with
+    multiplicative noise; duration is the origin-destination travel time. The
+    draws are, in order: poisson counts, one uniform per order for its
+    destination, one revenue-noise factor per order.
     """
     if not 0 <= t < world.horizon:
         raise ValueError(f"window index {t} outside [0, {world.horizon})")
@@ -210,13 +210,11 @@ def generate_window(
         return OrderBatch.empty(t), drivers
     origins = np.repeat(np.arange(model.n_cells), counts)
     u = rng.random(total)
-    # each CDF row is non-decreasing, so counting its entries <= u is
-    # searchsorted(side="right") for all orders at once
-    dests = (model._dest_cdf[origins] <= u[:, None]).sum(axis=1)
+    dests = np.searchsorted(model.destination_cdf, u, side="right")
     dests = np.minimum(dests, model.n_cells - 1)
     durations = world.travel_time[origins, dests]
     noise = rng.uniform(1.0 - model.revenue_noise, 1.0 + model.revenue_noise, total)
-    revenues = (model.base_fare[origins] + model.price_per_step[origins] * durations) * noise
+    revenues = (model.base_fare + model.price_per_step * durations) * noise
     return OrderBatch(origins, dests, revenues, durations, t), drivers
 
 

@@ -5,6 +5,7 @@ import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -13,24 +14,15 @@ import numpy as np
 from .world import DriverSlot, GridWorld, OrderRequest, TransitionTuple
 
 
-def discounted_reward(revenue: float, duration: int, gamma: float) -> float:
-    """Discounted sum of equal per-window revenue installments.
-
-    The revenue is split into `duration` installments paid at offsets
-    0 .. duration-1, so gamma = 1 recovers the full revenue.
-    """
-    if duration < 1:
-        raise ValueError(f"duration must be >= 1, got {duration}")
-    per_step = revenue / duration
-    if gamma == 1.0:
-        return per_step * duration
-    return per_step * (1.0 - gamma**duration) / (1.0 - gamma)
-
-
 def truncated_discounted_reward(
     revenue: float, duration: int, gamma: float, steps_allowed: int
 ) -> float:
-    """As discounted_reward, but only installments inside the horizon count."""
+    """Discounted sum of equal per-window revenue installments inside the horizon.
+
+    The revenue is split into `duration` installments paid at offsets
+    0 .. duration-1, and the first `steps_allowed` of them count. With
+    steps_allowed >= duration, gamma = 1 recovers the full revenue.
+    """
     if duration < 1:
         raise ValueError(f"duration must be >= 1, got {duration}")
     paid = min(duration, max(0, steps_allowed))
@@ -42,13 +34,18 @@ def truncated_discounted_reward(
     return per_step * (1.0 - gamma**paid) / (1.0 - gamma)
 
 
+@lru_cache(maxsize=None)
 def discount_table(gamma: float, n: int) -> np.ndarray:
     """gamma ** k for k < n, by Python's float power: the factors of
     `truncated_discounted_reward` on every numpy build (numpy's AVX-512 array
     power rounds 0.9 ** 12 and 0.9 ** 23 differently). Every discount of the
     simulator, the matcher and the backup is read from such a table.
+
+    Tables are cached per (gamma, n), so the array is read-only.
     """
-    return np.array([gamma**k for k in range(n)])
+    table = np.array([gamma**k for k in range(n)])
+    table.setflags(write=False)
+    return table
 
 
 def served_transition(

@@ -191,10 +191,10 @@ class DemandModel:
     """Synthetic per-window demand and supply for one environment.
 
     rates has shape (T, N): Poisson order intensity per (window, cell).
-    destination is a row-stochastic (N, N) matrix of trip destinations.
-    Revenue is base_fare[origin] + price_per_step[origin] * trip duration,
-    jittered by a uniform multiplicative factor in
-    [1 - revenue_noise, 1 + revenue_noise].
+    destination has shape (N,): the probability that a trip ends in each
+    cell, the same for every origin; destination_cdf is its cumulative sum.
+    Revenue is base_fare + price_per_step * trip duration, jittered by a
+    uniform multiplicative factor in [1 - revenue_noise, 1 + revenue_noise].
     driver_counts seeds the initial idle fleet per cell.
     cancellation is the per-pickup-window probability increment that an
     accepted order is cancelled before completion.
@@ -204,41 +204,44 @@ class DemandModel:
 
     rates: np.ndarray
     destination: np.ndarray
-    price_per_step: np.ndarray
-    base_fare: np.ndarray
+    price_per_step: float
+    base_fare: float
     revenue_noise: float
     driver_counts: np.ndarray
     cancellation: float = 0.0
     scripted_orders: Optional[dict] = None
-    _dest_cdf: np.ndarray = field(init=False, repr=False)
+    destination_cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.rates = np.asarray(self.rates, dtype=float)
         self.destination = np.asarray(self.destination, dtype=float)
-        self.price_per_step = np.asarray(self.price_per_step, dtype=float)
-        self.base_fare = np.asarray(self.base_fare, dtype=float)
         self.driver_counts = np.asarray(self.driver_counts, dtype=np.int64)
         if self.rates.ndim != 2:
             raise ValueError("rates must have shape (T, N)")
         n = self.rates.shape[1]
-        if self.destination.shape != (n, n):
-            raise ValueError(f"destination shape {self.destination.shape} != ({n}, {n})")
-        if np.any(self.rates < 0):
-            raise ValueError("all demand rates must be >= 0")
-        row_sums = self.destination.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-9):
-            raise ValueError("destination rows must sum to 1 within 1e-9")
-        if self.price_per_step.shape != (n,):
-            raise ValueError("price_per_step must have shape (N,)")
-        if self.base_fare.shape != (n,):
-            raise ValueError("base_fare must have shape (N,)")
-        if np.any(self.base_fare < 0) or np.any(self.price_per_step < 0):
+        if self.destination.shape != (n,):
+            raise ValueError(f"destination shape {self.destination.shape} != ({n},)")
+        if not np.all(np.isfinite(self.rates)) or np.any(self.rates < 0):
+            raise ValueError("all demand rates must be finite and >= 0")
+        # no negative entry, so the CDF is non-decreasing as searchsorted needs
+        if not (np.all(self.destination >= 0) and abs(self.destination.sum() - 1.0) <= 1e-9):
+            raise ValueError("destination probabilities must be >= 0 and sum to 1 within 1e-9")
+        if np.ndim(self.price_per_step) or np.ndim(self.base_fare):
+            raise ValueError("price_per_step and base_fare must be scalars")
+        self.price_per_step = float(self.price_per_step)
+        self.base_fare = float(self.base_fare)
+        if not (self.base_fare >= 0 and self.price_per_step >= 0):
             raise ValueError("revenue parameters must be >= 0")
+        if not 0.0 <= self.revenue_noise <= 1.0:
+            raise ValueError(f"revenue_noise must be in [0, 1], got {self.revenue_noise}")
         if self.driver_counts.shape != (n,):
             raise ValueError("driver_counts must have shape (N,)")
-        if not 0.0 <= self.cancellation:
-            raise ValueError("cancellation must be >= 0")
-        self._dest_cdf = np.cumsum(self.destination, axis=1)
+        if np.any(self.driver_counts < 0):
+            raise ValueError("driver_counts must be >= 0")
+        # an infinite rate times a pickup of 0 windows is NaN, not 0
+        if not 0.0 <= self.cancellation < np.inf:
+            raise ValueError("cancellation must be finite and >= 0")
+        self.destination_cdf = np.cumsum(self.destination)
 
     @property
     def n_cells(self) -> int:

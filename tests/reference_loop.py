@@ -63,18 +63,13 @@ def generate_window(
         return [], drivers
     origins = np.repeat(np.arange(model.n_cells), counts)
     u = rng.random(total)
-    dests = np.empty(total, dtype=np.int64)
-    idx = 0
-    for cell in np.nonzero(counts)[0]:
-        c = int(counts[cell])
-        dests[idx : idx + c] = np.searchsorted(
-            model._dest_cdf[cell], u[idx : idx + c], side="right"
-        )
-        idx += c
+    # the destination is the number of CDF entries <= u: the same integers
+    # as the simulator's searchsorted, found another way
+    dests = (model.destination_cdf <= u[:, None]).sum(axis=1)
     dests = np.minimum(dests, model.n_cells - 1)
     durations = world.travel_time[origins, dests]
     noise = rng.uniform(1.0 - model.revenue_noise, 1.0 + model.revenue_noise, total)
-    revenues = (model.base_fare[origins] + model.price_per_step[origins] * durations) * noise
+    revenues = (model.base_fare + model.price_per_step * durations) * noise
     return [
         OrderRequest(int(o), int(d), float(r), int(dt), t)
         for o, d, r, dt in zip(origins, dests, revenues, durations)

@@ -12,8 +12,8 @@ from dispatchlab import (
     ValueTable,
     advantage_transform,
     build_problem,
-    discounted_reward,
     km_match,
+    truncated_discounted_reward,
 )
 from dispatchlab import gpi
 from dispatchlab.scenario import Scenario, default_scenario
@@ -86,8 +86,8 @@ class TestBuildProblem:
         orders = order_batch([OrderRequest(0, 1, 6.0, 2, 0), OrderRequest(0, 2, 3.0, 1, 0)])
         p = build_problem(drivers, orders, table, 0.9, world)
         assert p.scores[0, 0] == 0.0
-        assert p.scores[0, 1] == pytest.approx(discounted_reward(6.0, 2, 0.9))
-        assert p.scores[0, 2] == pytest.approx(discounted_reward(3.0, 1, 0.9))
+        assert p.scores[0, 1] == pytest.approx(truncated_discounted_reward(6.0, 2, 0.9, 2))
+        assert p.scores[0, 2] == pytest.approx(truncated_discounted_reward(3.0, 1, 0.9, 1))
 
     def test_direct_substitution(self):
         # pickup 0, duration 2, V[finish] = 2, R_gamma = 1.9: 0.81*2 + 1.9
@@ -158,7 +158,7 @@ class TestAdvantageTransform:
         p = problem_from_scores([[1.5, 2.0, 0.5], [-1.0, 0.0, 3.0]])
         q = advantage_transform(p)
         assert np.all(q.scores[:, 0] == 0.0)
-        assert q.row_offsets == pytest.approx([1.5, -1.0])
+        np.testing.assert_array_equal(q.scores, [[0.0, 0.5, -1.0], [0.0, 1.0, 4.0]])
 
     def test_objective_shift_is_sum_of_nulls(self):
         rng = np.random.default_rng(3)
@@ -319,8 +319,8 @@ def captured_windows(monkeypatch, drivers=None):
 def test_captured_windows_match_null_expansion(monkeypatch, drivers):
     problems = captured_windows(monkeypatch, drivers)
     assert len(problems) > 500
-    # value-policy windows arrive advantage-transformed, their null values in row_offsets
-    assert any(np.any(p.row_offsets != 0.0) for p in problems)
+    # value-policy windows arrive advantage-transformed: every null score is 0
+    assert all(np.all(p.scores[:, 0] == 0.0) for p in problems)
     for p in problems:
         res = km_match(p)
         assert_feasible_one_to_one(p, res.assignment)

@@ -8,7 +8,6 @@ from dispatchlab import (
     PolicyKind,
     Scenario,
     ValueTable,
-    discounted_reward,
     evaluate_policy_value,
     prepare_source,
     repeat_single_day,

@@ -113,9 +113,9 @@ def test_scripted_orders_match_reference(kind, gamma):
     counts[[0, 4, 12]] = 1
     model = DemandModel(
         rates=np.zeros((world.horizon, n)),
-        destination=np.full((n, n), 1.0 / n),
-        price_per_step=np.ones(n),
-        base_fare=np.zeros(n),
+        destination=np.full(n, 1.0 / n),
+        price_per_step=1.0,
+        base_fare=0.0,
         revenue_noise=0.0,
         driver_counts=counts,
         cancellation=0.02,
@@ -136,9 +136,9 @@ def test_served_rows_like_idle_ones_match_reference():
     }
     model = DemandModel(
         rates=np.zeros((world.horizon, 4)),
-        destination=np.full((4, 4), 0.25),
-        price_per_step=np.ones(4),
-        base_fare=np.zeros(4),
+        destination=np.full(4, 0.25),
+        price_per_step=1.0,
+        base_fare=0.0,
         revenue_noise=0.0,
         driver_counts=np.array([1, 0, 1, 0]),
         cancellation=0.0,

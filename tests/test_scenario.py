@@ -179,7 +179,8 @@ class TestModelConstruction:
 
     def test_destination_rows_stochastic(self):
         model = default_scenario().build_target_model()
-        np.testing.assert_allclose(model.destination.sum(axis=1), 1.0, atol=1e-12)
+        assert model.destination.shape == (model.n_cells,)
+        np.testing.assert_allclose(model.destination.sum(), 1.0, atol=1e-12)
 
     def test_world_matches_grid(self):
         sc = Scenario.from_dict(minimal_raw())

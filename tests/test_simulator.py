@@ -13,11 +13,11 @@ from dispatchlab import (
     TupleArrays,
     ValueTable,
     apply_matching,
-    discounted_reward,
     dp_evaluate,
     generate_window,
     run_day,
     transfer_evaluate,
+    truncated_discounted_reward,
 )
 from dispatchlab.simulator import DayStreams, window_rng
 from dispatchlab.valuation import as_arrays, is_idle
@@ -45,9 +45,9 @@ def flat_model(world, rate, driver_counts=None, **kwargs):
     n = world.n_cells
     defaults = dict(
         rates=np.full((world.horizon, n), rate),
-        destination=np.full((n, n), 1.0 / n),
-        price_per_step=np.ones(n),
-        base_fare=np.zeros(n),
+        destination=np.full(n, 1.0 / n),
+        price_per_step=1.0,
+        base_fare=0.0,
         revenue_noise=0.0,
         driver_counts=np.zeros(n, dtype=int) if driver_counts is None else driver_counts,
     )
@@ -108,7 +108,7 @@ class TestGenerateWindow:
 
     def test_revenue_follows_fare_schedule(self):
         world = GridWorld.lattice(1, 4, 8)
-        model = flat_model(world, 2.0, base_fare=np.full(4, 1.5))
+        model = flat_model(world, 2.0, base_fare=1.5)
         orders, _ = generate_window(model, world, 0, window_rng(1, 0, 0, 0))
         assert len(orders) > 0
         assert np.array_equal(
@@ -186,7 +186,7 @@ class TestApplyMatching:
         arr = self.serve_one(0, 1, OrderRequest(0, 1, 10.0, 2, 0), 0.9)
         assert arr.duration[0] == 4
         assert (arr.finish_t[0], arr.finish_cell[0]) == (4, 1)
-        assert arr.reward[0] == pytest.approx(0.81 * discounted_reward(10.0, 2, 0.9))
+        assert arr.reward[0] == pytest.approx(0.81 * truncated_discounted_reward(10.0, 2, 0.9, 2))
 
     def test_truncates_at_horizon(self):
         arr = self.serve_one(7, 0, OrderRequest(0, 1, 10.0, 3, 7), 0.9)
@@ -262,7 +262,7 @@ class TestRunDay:
         assert metrics.orders_created == 1
         assert metrics.orders_answered == 1
         assert metrics.orders_completed == 1
-        assert metrics.reward == pytest.approx(discounted_reward(8.0, 2, 0.9))
+        assert metrics.reward == pytest.approx(truncated_discounted_reward(8.0, 2, 0.9, 2))
 
     def test_tuple_conservation(self):
         # every window emits one tuple per idle driver: serve or idle

@@ -12,7 +12,6 @@ from dispatchlab import (
     TransitionTuple,
     TupleArrays,
     ValueTable,
-    discounted_reward,
     dp_evaluate,
     q_value,
     td_evaluate,
@@ -57,19 +56,21 @@ def reference_dp(tuples, T, n, gamma, init=None):
 
 
 class TestDiscountedReward:
+    """Every installment inside the horizon: steps_allowed = duration."""
+
     def test_single_installment(self):
-        assert discounted_reward(10.0, 1, 0.9) == 10.0
+        assert truncated_discounted_reward(10.0, 1, 0.9, 1) == 10.0
 
     def test_undiscounted_recovers_revenue(self):
-        assert discounted_reward(10.0, 2, 1.0) == 10.0
+        assert truncated_discounted_reward(10.0, 2, 1.0, 2) == 10.0
 
     def test_direct_summation(self):
         # 12/3 per step at offsets 0, 1, 2 with gamma 0.5
-        assert discounted_reward(12.0, 3, 0.5) == pytest.approx(4 * (1 + 0.5 + 0.25))
+        assert truncated_discounted_reward(12.0, 3, 0.5, 3) == pytest.approx(4 * (1 + 0.5 + 0.25))
 
     def test_rejects_zero_duration(self):
         with pytest.raises(ValueError):
-            discounted_reward(10.0, 0, 0.9)
+            truncated_discounted_reward(10.0, 0, 0.9, 0)
 
     @given(
         revenue=st.floats(0.1, 100),
@@ -80,9 +81,9 @@ class TestDiscountedReward:
     def test_strictly_increasing_in_gamma(self, revenue, duration, g1, g2):
         lo, hi = sorted((g1, g2))
         if hi - lo > 1e-9:
-            assert discounted_reward(revenue, duration, lo) < discounted_reward(
-                revenue, duration, hi
-            )
+            assert truncated_discounted_reward(
+                revenue, duration, lo, duration
+            ) < truncated_discounted_reward(revenue, duration, hi, duration)
 
     @given(
         revenue=st.floats(0.0, 100),
@@ -91,9 +92,8 @@ class TestDiscountedReward:
     )
     def test_matches_loop_sum(self, revenue, duration, gamma):
         expected = sum(revenue / duration * gamma**u for u in range(duration))
-        assert discounted_reward(revenue, duration, gamma) == pytest.approx(
-            expected, abs=1e-9
-        )
+        got = truncated_discounted_reward(revenue, duration, gamma, duration)
+        assert got == pytest.approx(expected, abs=1e-9)
 
 
 class TestTruncatedDiscountedReward:
@@ -102,12 +102,10 @@ class TestTruncatedDiscountedReward:
         assert truncated_discounted_reward(10.0, 4, 0.9, -3) == 0.0
 
     def test_full_window_matches_untruncated(self):
-        assert truncated_discounted_reward(10.0, 4, 0.9, 4) == pytest.approx(
-            discounted_reward(10.0, 4, 0.9)
-        )
-        assert truncated_discounted_reward(10.0, 4, 0.9, 9) == pytest.approx(
-            discounted_reward(10.0, 4, 0.9)
-        )
+        # 10/4 per step at offsets 0 .. 3 with gamma 0.9
+        untruncated = 2.5 * (1 + 0.9 + 0.81 + 0.729)
+        assert truncated_discounted_reward(10.0, 4, 0.9, 4) == pytest.approx(untruncated)
+        assert truncated_discounted_reward(10.0, 4, 0.9, 9) == pytest.approx(untruncated)
 
     @given(
         revenue=st.floats(0.0, 100),
@@ -143,6 +141,16 @@ class TestServedTransition:
                 assert reward[p, k] == want, (p, d)
                 assert total[p, k] == p + d
                 assert finish_t[p, k] == min(t + p + d, horizon)
+
+
+def test_discount_table_is_cached_and_read_only():
+    table = discount_table(0.9, 30)
+    # Python's float powers, bit for bit, built once per (gamma, n)
+    assert table.tolist() == [0.9**k for k in range(30)]
+    assert discount_table(0.9, 30) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1] = 0.5
 
 
 class TestValueTable:
@@ -496,7 +504,7 @@ class TestQValue:
         table = ValueTable.zeros(10, 2, 0.9)
         driver = DriverSlot(0, State(0, 0))
         order = OrderRequest(0, 1, 10.0, 2, 0)
-        expected = discounted_reward(10.0, 2, 0.9)
+        expected = truncated_discounted_reward(10.0, 2, 0.9, 2)
         assert q_value(table, driver, order, 0.9, world) == pytest.approx(expected)
 
     def test_direct_substitution(self):
@@ -507,7 +515,7 @@ class TestQValue:
         table = ValueTable(vals, 0.9)
         driver = DriverSlot(0, State(3, 0))
         order = OrderRequest(0, 1, 2.0, 2, 3)
-        r_k = discounted_reward(2.0, 2, 0.9)  # 1.9
+        r_k = truncated_discounted_reward(2.0, 2, 0.9, 2)  # 1.9
         assert r_k == pytest.approx(1.9)
         got = q_value(table, driver, order, 0.9, world)
         assert got == pytest.approx(0.81 * 2.0 + 1.9)

@@ -133,9 +133,9 @@ class TestDemandModel:
     def _kwargs(self, n=2, T=4):
         return dict(
             rates=np.full((T, n), 0.5),
-            destination=np.full((n, n), 1.0 / n),
-            price_per_step=np.ones(n),
-            base_fare=np.zeros(n),
+            destination=np.full(n, 1.0 / n),
+            price_per_step=1.0,
+            base_fare=0.0,
             revenue_noise=0.1,
             driver_counts=np.ones(n, dtype=int),
         )
@@ -153,8 +153,41 @@ class TestDemandModel:
 
     def test_rejects_non_stochastic_destination(self):
         kw = self._kwargs()
-        kw["destination"] = np.array([[0.5, 0.6], [0.5, 0.5]])
+        kw["destination"] = np.array([0.5, 0.6])
         with pytest.raises(ValueError, match="destination"):
+            DemandModel(**kw)
+
+    def test_rejects_negative_destination(self):
+        # sums to 1, but its CDF would not be non-decreasing
+        kw = self._kwargs()
+        kw["destination"] = np.array([1.5, -0.5])
+        with pytest.raises(ValueError, match="destination"):
+            DemandModel(**kw)
+
+    def test_rejects_non_finite_rates(self):
+        for bad in (np.nan, np.inf):
+            kw = self._kwargs()
+            kw["rates"][1, 0] = bad
+            with pytest.raises(ValueError, match="rates"):
+                DemandModel(**kw)
+
+    def test_rejects_revenue_noise_outside_unit_interval(self):
+        for bad in (1.5, -0.1, np.nan):
+            kw = self._kwargs()
+            kw["revenue_noise"] = bad
+            with pytest.raises(ValueError, match="revenue_noise"):
+                DemandModel(**kw)
+
+    def test_rejects_infinite_cancellation(self):
+        kw = self._kwargs()
+        kw["cancellation"] = np.inf
+        with pytest.raises(ValueError, match="cancellation"):
+            DemandModel(**kw)
+
+    def test_rejects_negative_driver_counts(self):
+        kw = self._kwargs()
+        kw["driver_counts"] = np.array([2, -1])
+        with pytest.raises(ValueError, match="driver_counts"):
             DemandModel(**kw)
 
     def test_rejects_shape_mismatches(self):
@@ -166,9 +199,13 @@ class TestDemandModel:
         kw["price_per_step"] = np.ones(3)
         with pytest.raises(ValueError, match="price_per_step"):
             DemandModel(**kw)
+        kw = self._kwargs()
+        kw["destination"] = np.full((2, 2), 0.5)  # one distribution for every origin
+        with pytest.raises(ValueError, match="destination"):
+            DemandModel(**kw)
 
     def test_rejects_negative_fares(self):
         kw = self._kwargs()
-        kw["base_fare"] = np.array([-0.5, 0.0])
+        kw["base_fare"] = -0.5
         with pytest.raises(ValueError, match="revenue parameters"):
             DemandModel(**kw)
