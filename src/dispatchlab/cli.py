@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import click
 
@@ -14,6 +13,7 @@ from .reporting import (
     REPEAT_HEADER,
     SUMMARY_HEADER,
     ExperimentConfig,
+    GridKey,
     per_day_rows,
     repeat_rows,
     summary_rows,
@@ -25,13 +25,6 @@ from .valuation import ValueTable
 from .world import GridWorld
 
 OUT_ROOT_ENV = "DISPATCHLAB_OUT"
-
-
-def _resolve_out(out: Optional[str], name: str) -> str:
-    if out:
-        return out
-    root = os.environ.get(OUT_ROOT_ENV, "out")
-    return os.path.join(root, name)
 
 
 def _load_config(
@@ -46,32 +39,24 @@ def _load_config(
     schema is the one check for the file and the command line alike. The
     scenario's world and demand models are then built once: a scenario can
     pass the schema while its hot block, or the target's shifted one,
-    selects no cell, and only a build shows it. Any fault raises ValueError.
+    selects no cell, and only a build shows it. Any fault stops the command
+    with a click.ClickException carrying the ValueError's message.
     """
-    data = ExperimentConfig.load(path).manifest()
-    if seeds is not None:
-        data["seeds"] = [_int_or_text(s) for s in seeds.split(",") if s.strip()]
-    if policies:
-        data["policies"] = list(policies)
-    if repetitions is not None:
-        data["repetitions"] = repetitions
-    cfg = ExperimentConfig.from_dict(data)
-    cfg.scenario.build_world()
-    cfg.scenario.build_source_model()
-    cfg.scenario.build_target_model()
+    try:
+        data = ExperimentConfig.load(path).manifest()
+        if seeds is not None:
+            data["seeds"] = [_int_or_text(s) for s in seeds.split(",") if s.strip()]
+        if policies:
+            data["policies"] = list(policies)
+        if repetitions is not None:
+            data["repetitions"] = repetitions
+        cfg = ExperimentConfig.from_dict(data)
+        cfg.scenario.build_world()
+        cfg.scenario.build_source_model()
+        cfg.scenario.build_target_model()
+    except ValueError as e:
+        raise click.ClickException(str(e))
     return cfg
-
-
-def _check_out_folder(out: str) -> None:
-    """Stop before any work if the folder `out` cannot be made: a file is in its way.
-
-    The folder itself is made only once the grid has run.
-    """
-    path = os.path.abspath(out)
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
-    if not os.path.isdir(path):
-        raise click.ClickException(f"cannot make output folder {out}: {path} is a file")
 
 
 def _check_out_file(out: str) -> None:
@@ -91,7 +76,7 @@ def _int_or_text(text: str):
         return text
 
 
-def _run_group(args) -> Dict[Tuple[str, float, float, int], list]:
+def _run_group(args) -> Dict[GridKey, list]:
     """One worker unit: all (policy, lambda) cells for a (gamma, seed) pair.
 
     A policy that does not read lambda runs once; its rows go under every lambda.
@@ -99,26 +84,36 @@ def _run_group(args) -> Dict[Tuple[str, float, float, int], list]:
     manifest, gamma, seed, mode = args
     cfg = ExperimentConfig.from_dict(manifest)
     source = prepare_source(cfg.scenario, gamma, seed)
-    out: Dict[Tuple[str, float, float, int], list] = {}
+    if mode == "simulate":
+        run, length = run_experiment, cfg.days
+    else:
+        run, length = repeat_single_day, cfg.repetitions
+    out: Dict[GridKey, list] = {}
     for kind in cfg.policies:
         groups = [[lam] for lam in cfg.lambdas] if kind.reads_lambda else [cfg.lambdas]
         for lams in groups:
-            if mode == "simulate":
-                rows = run_experiment(
-                    cfg.scenario, kind, cfg.days, gamma, seed, lam=lams[0], source=source
-                )
-            else:
-                rows = repeat_single_day(
-                    cfg.scenario, kind, cfg.repetitions, gamma, seed, lam=lams[0], source=source
-                )
+            rows = run(cfg.scenario, kind, length, gamma, seed, lam=lams[0], source=source)
             for lam in lams:
                 out[(kind.value, gamma, lam, seed)] = rows
     return out
 
 
-def _run_grid(cfg: ExperimentConfig, parallel: int, mode: str):
+def _run(mode: str, config_path, out_dir, seeds, policies, parallel, repetitions=None):
+    """Load the config with its overrides, check `--out`, run the grid, write the manifest.
+
+    Returns the scenario name, the output folder and the grid results. A file
+    in the way of the folder stops the command before any work; the folder
+    itself is made only once the grid has run.
+    """
+    cfg = _load_config(config_path, seeds, policies, repetitions)
+    out = out_dir or os.path.join(os.environ.get(OUT_ROOT_ENV, "out"), cfg.scenario.name)
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise click.ClickException(f"cannot make output folder {out}: {path} is a file")
     units = [(cfg.manifest(), gamma, seed, mode) for gamma in cfg.gammas for seed in cfg.seeds]
-    results: Dict[Tuple[str, float, float, int], list] = {}
+    results: Dict[GridKey, list] = {}
     if parallel > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             for part in pool.map(_run_group, units):
@@ -126,7 +121,9 @@ def _run_grid(cfg: ExperimentConfig, parallel: int, mode: str):
     else:
         for unit in units:
             results.update(_run_group(unit))
-    return results
+    os.makedirs(out, exist_ok=True)
+    write_manifest(os.path.join(out, "manifest.yaml"), cfg.manifest())
+    return cfg.scenario.name, out, results
 
 
 @click.group()
@@ -142,16 +139,7 @@ def main():
 @click.option("--parallel", default=1, type=click.IntRange(min=1), show_default=True)
 def simulate(config_path, out_dir, seeds, policies, parallel):
     """Run the policy x gamma x lambda x seed grid and write metric CSVs."""
-    try:
-        cfg = _load_config(config_path, seeds, policies)
-    except ValueError as e:
-        raise click.ClickException(str(e))
-    out = _resolve_out(out_dir, cfg.scenario.name)
-    _check_out_folder(out)
-    results = _run_grid(cfg, parallel, "simulate")
-    os.makedirs(out, exist_ok=True)
-    write_manifest(os.path.join(out, "manifest.yaml"), cfg.manifest())
-    name = cfg.scenario.name
+    name, out, results = _run("simulate", config_path, out_dir, seeds, policies, parallel)
     write_csv(os.path.join(out, "per_day.csv"), PER_DAY_HEADER, per_day_rows(name, results))
     write_csv(os.path.join(out, "summary.csv"), SUMMARY_HEADER, summary_rows(name, results))
     click.echo(f"wrote {out}/per_day.csv ({sum(len(v) for v in results.values())} rows)")
@@ -166,20 +154,10 @@ def simulate(config_path, out_dir, seeds, policies, parallel):
 @click.option("--parallel", default=1, type=click.IntRange(min=1), show_default=True)
 def repeat_day(config_path, out_dir, seeds, policies, repetitions, parallel):
     """Repeat one day's demand multiple times and track per-iteration learning."""
-    try:
-        cfg = _load_config(config_path, seeds, policies, repetitions)
-    except ValueError as e:
-        raise click.ClickException(str(e))
-    out = _resolve_out(out_dir, cfg.scenario.name)
-    _check_out_folder(out)
-    results = _run_grid(cfg, parallel, "repeat")
-    os.makedirs(out, exist_ok=True)
-    write_manifest(os.path.join(out, "manifest.yaml"), cfg.manifest())
-    write_csv(
-        os.path.join(out, "repeat_day.csv"),
-        REPEAT_HEADER,
-        repeat_rows(cfg.scenario.name, results),
+    name, out, results = _run(
+        "repeat", config_path, out_dir, seeds, policies, parallel, repetitions
     )
+    write_csv(os.path.join(out, "repeat_day.csv"), REPEAT_HEADER, repeat_rows(name, results))
     click.echo(f"wrote {out}/repeat_day.csv")
 
 
@@ -203,6 +181,8 @@ def concordance(config_path, source_table, target_table, out_path):
     except ValueError as e:
         raise click.ClickException(str(e))
     click.echo(f"aggregate_concordance_rate={report.aggregate!r}")
+    click.echo(f"tied_share={report.tied_share!r}")
+    click.echo(f"strict_concordance_rate={report.strict_rate!r}")
     if out_path:
         rows = [(t, float(r)) for t, r in enumerate(report.per_time)]
         rows.append(("aggregate", report.aggregate))
@@ -228,10 +208,7 @@ def _load_table(path: str, which: str, gamma: float, world: GridWorld) -> ValueT
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def validate_config(config_path):
     """Check an experiment config (and its scenario) against the schema."""
-    try:
-        cfg = _load_config(config_path, None, ())
-    except ValueError as e:
-        raise click.ClickException(str(e))
+    cfg = _load_config(config_path, None, ())
     click.echo(f"ok: scenario '{cfg.scenario.name}', {len(cfg.policies)} policies")
 
 

@@ -10,6 +10,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -148,43 +149,38 @@ def write_csv(path, header: List[str], rows: List[tuple]) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
-def _row_order(key: Tuple[str, float, float, int]) -> tuple:
+# a grid cell: (policy, gamma, lambda, seed)
+GridKey = Tuple[str, float, float, int]
+
+
+def _row_order(key: GridKey) -> tuple:
     """Canonical CSV row order: policy in POLICY_ORDER, then gamma, lambda, seed or day."""
     policy, gamma, lam, last = key
     return POLICY_ORDER.index(policy), gamma, lam, last
 
 
-def per_day_rows(
-    scenario_name: str,
-    results: Dict[Tuple[str, float, float, int], List[DayRow]],
-) -> List[tuple]:
+def _flatten(scenario_name: str, results: Dict[GridKey, list], header: List[str]) -> List[tuple]:
+    """Grid results as CSV rows in canonical order.
+
+    Each row is the scenario, the key's policy, seed, gamma and lambda, then
+    the fields of one result row named by the rest of `header`.
+    """
+    fields = attrgetter(*header[5:])
+    return [
+        (scenario_name, policy, seed, gamma, lam, *fields(r))
+        for policy, gamma, lam, seed in sorted(results, key=_row_order)
+        for r in results[policy, gamma, lam, seed]
+    ]
+
+
+def per_day_rows(scenario_name: str, results: Dict[GridKey, List[DayRow]]) -> List[tuple]:
     """Flatten grid results into per-day CSV rows in canonical order."""
-    rows = []
-    for key in sorted(results, key=_row_order):
-        policy, gamma, lam, seed = key
-        for r in results[key]:
-            rows.append(
-                (
-                    scenario_name,
-                    policy,
-                    seed,
-                    gamma,
-                    lam,
-                    r.day,
-                    r.reward,
-                    r.answer_rate,
-                    r.completion_rate,
-                )
-            )
-    return rows
+    return _flatten(scenario_name, results, PER_DAY_HEADER)
 
 
-def summary_rows(
-    scenario_name: str,
-    results: Dict[Tuple[str, float, float, int], List[DayRow]],
-) -> List[tuple]:
+def summary_rows(scenario_name: str, results: Dict[GridKey, List[DayRow]]) -> List[tuple]:
     """Per-(policy, gamma, lambda, day) mean and standard error across seeds."""
-    groups: Dict[Tuple[str, float, float, int], List[DayRow]] = {}
+    groups: Dict[GridKey, List[DayRow]] = {}
     for (policy, gamma, lam, seed), day_rows in results.items():
         for r in day_rows:
             groups.setdefault((policy, gamma, lam, r.day), []).append(r)
@@ -215,18 +211,9 @@ def summary_rows(
     return rows
 
 
-def repeat_rows(
-    scenario_name: str,
-    results: Dict[Tuple[str, float, float, int], List[RepeatRow]],
-) -> List[tuple]:
-    rows = []
-    for key in sorted(results, key=_row_order):
-        policy, gamma, lam, seed = key
-        for r in results[key]:
-            rows.append(
-                (scenario_name, policy, seed, gamma, lam, r.iteration, r.reward, r.value_delta)
-            )
-    return rows
+def repeat_rows(scenario_name: str, results: Dict[GridKey, List[RepeatRow]]) -> List[tuple]:
+    """Flatten grid results into repeat-day CSV rows in canonical order."""
+    return _flatten(scenario_name, results, REPEAT_HEADER)
 
 
 def write_manifest(path, manifest: dict) -> None:

@@ -67,12 +67,15 @@ class ConcordanceSpec:
     def pair_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._pi, self._pj
 
-    def source_sign(self, v_src_t: np.ndarray) -> np.ndarray:
-        """Per pair (i, j), the sign of v_src_t[j] - v_src_t[i]: the side the source favours.
+    def ordered_pairs(self, v_src_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs (i, j) the source orders at this row, with s = sign(v_src_t[j] - v_src_t[i]).
 
-        0 marks a source tie; such a pair drops out of the hinge.
+        s is the side the source favours. Pairs stay in pair order; a source
+        tie (s = 0) is left out, so it drops out of the hinge.
         """
-        return np.sign(v_src_t[self._pj] - v_src_t[self._pi])
+        s = np.sign(v_src_t[self._pj] - v_src_t[self._pi])
+        ordered = s != 0
+        return self._pi[ordered], self._pj[ordered], s[ordered]
 
 
 @dataclass
@@ -90,19 +93,25 @@ class OptimizerSettings:
     patience: InitVar[Optional[int]] = None
 
 
-def _discord_mask(v_a: ValueTable, v_b: ValueTable, spec: ConcordanceSpec) -> np.ndarray:
-    """(time, pair) mask of the pairs the two tables rank in opposite order.
+def _pair_gaps(v_a: ValueTable, v_b: ValueTable, spec: ConcordanceSpec) -> List[np.ndarray]:
+    """Each table's (time, pair) differences v[t, i] - v[t, j].
 
-    Ties (either difference exactly zero) count as concordant. The terminal
-    row is excluded (it is identically zero in both tables).
+    The terminal row is left out (it is identically zero in both tables).
     """
     if v_a.values.shape != v_b.values.shape:
         raise ValueError("value table shapes do not match")
     if len(spec.pairs) == 0:
         raise ValueError("concordance needs a nonempty pair set")
     pi, pj = spec.pair_arrays
-    d1 = v_a.values[:-1, pi] - v_a.values[:-1, pj]
-    d2 = v_b.values[:-1, pi] - v_b.values[:-1, pj]
+    return [v.values[:-1, pi] - v.values[:-1, pj] for v in (v_a, v_b)]
+
+
+def _discord_mask(v_a: ValueTable, v_b: ValueTable, spec: ConcordanceSpec) -> np.ndarray:
+    """(time, pair) mask of the pairs the two tables rank in opposite order.
+
+    Ties (either difference exactly zero) count as concordant.
+    """
+    d1, d2 = _pair_gaps(v_a, v_b, spec)
     return d1 * d2 < 0
 
 
@@ -113,13 +122,8 @@ def concordance_loss(v: ValueTable, v_src: ValueTable, spec: ConcordanceSpec) ->
 
 def hinge_penalty(v_t: np.ndarray, v_src_t: np.ndarray, spec: ConcordanceSpec) -> float:
     """Hinge surrogate for the per-slice discordance count (source ties skip)."""
-    if len(spec.pairs) == 0:
-        return 0.0
-    pi, pj = spec.pair_arrays
-    sign_src = spec.source_sign(v_src_t)
-    d = v_t[pj] - v_t[pi]
-    terms = np.maximum(0.0, spec.margin - sign_src * d)
-    return float(np.sum(terms[sign_src != 0]))
+    i, j, s = spec.ordered_pairs(v_src_t)
+    return float(np.sum(np.maximum(0.0, spec.margin - s * (v_t[j] - v_t[i]))))
 
 
 def penalized_objective(
@@ -152,15 +156,13 @@ def objective_gradient(
     n = len(v_t)
     resid = v_t[cells] - targets
     grad = 2.0 * np.bincount(cells, weights=resid, minlength=n)
-    if spec.lam > 0 and len(spec.pairs) > 0:
-        pi, pj = spec.pair_arrays
-        sign_src = spec.source_sign(v_src_t)
-        d = v_t[pj] - v_t[pi]
-        active = (sign_src != 0) & (sign_src * d < spec.margin)
+    if spec.lam > 0:
+        i, j, s = spec.ordered_pairs(v_src_t)
+        active = s * (v_t[j] - v_t[i]) < spec.margin
         if np.any(active):
-            s = sign_src[active]
-            grad += spec.lam * np.bincount(pi[active], weights=s, minlength=n)
-            grad -= spec.lam * np.bincount(pj[active], weights=s, minlength=n)
+            s = s[active]
+            grad += spec.lam * np.bincount(i[active], weights=s, minlength=n)
+            grad -= spec.lam * np.bincount(j[active], weights=s, minlength=n)
     return grad
 
 
@@ -227,14 +229,11 @@ def solve_time_step(
     v[covered] = np.bincount(cells, weights=targets, minlength=n)[covered] / counts[covered]
     resid = v[cells] - targets
     const = float(np.dot(resid, resid))  # objective at the per-cell means
-    pi, pj = spec.pair_arrays
-    sign = spec.source_sign(v_src_t)
-    ordered = sign != 0
-    if spec.lam == 0 or not ordered.any():
+    pi, pj, s = spec.ordered_pairs(v_src_t)
+    if spec.lam == 0 or len(s) == 0:
         # a decoupled quadratic; the closed form is its exact minimizer
         return SolveResult(v, const, np.array([f_warm, const]), 0, 0.0)
 
-    pi, pj, s = pi[ordered], pj[ordered], sign[ordered]
     coupled, local = np.unique(np.concatenate([pi, pj]), return_inverse=True)
     weight = np.where(covered[coupled], counts[coupled], TIE_BREAK_RHO)
     x, qp_obj, dual, objs, iters = _hinge_qp(
@@ -418,16 +417,30 @@ def default_pair_set(v_src: ValueTable, q: float) -> List[Tuple[int, int]]:
 
 @dataclass
 class ConcordanceReport:
+    """Concordance rates of two tables over the (time, pair) entries.
+
+    `aggregate` and `per_time` are 1 - the discordant share, counting a tie
+    as agreement. `tied_share` is the share of entries whose difference is
+    exactly 0 in either table. `strict_rate` is 1 - discordant / untied, over
+    the untied entries only; NaN when every entry is tied.
+    """
+
     aggregate: float
     per_time: np.ndarray
+    tied_share: float
+    strict_rate: float
 
 
 def concordance_rate_report(
     v_a: ValueTable, v_b: ValueTable, spec: ConcordanceSpec
 ) -> ConcordanceReport:
-    """Concordance rate (1 - loss), both aggregate and per time slice."""
+    """Concordance rate (1 - loss), aggregate and per time slice, with the tie counts."""
+    d1, d2 = _pair_gaps(v_a, v_b, spec)
     discord = _discord_mask(v_a, v_b, spec)
+    untied = int(np.count_nonzero((d1 != 0) & (d2 != 0)))
     return ConcordanceReport(
         aggregate=float(1.0 - np.mean(discord)),
         per_time=1.0 - discord.mean(axis=1),
+        tied_share=1.0 - untied / discord.size,
+        strict_rate=1.0 - int(np.count_nonzero(discord)) / untied if untied else math.nan,
     )

@@ -56,9 +56,7 @@ class GridWorld:
 
     def pickup_time(self, from_cell: int, to_cell: int) -> int:
         """Windows needed to reach an order's origin; zero within the same cell."""
-        if from_cell == to_cell:
-            return 0
-        return int(self.travel_time[from_cell, to_cell])
+        return int(self.pickup_matrix[from_cell, to_cell])
 
     @classmethod
     def lattice(cls, rows: int, cols: int, horizon: int):
@@ -186,7 +184,7 @@ class TransitionTuple:
         return self.order is None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemandModel:
     """Synthetic per-window demand and supply for one environment.
 
@@ -200,6 +198,10 @@ class DemandModel:
     accepted order is cancelled before completion.
     scripted_orders, when set, overrides sampling for listed windows (used by
     deterministic micro-scenarios in tests).
+
+    The model is immutable: its fields cannot be reassigned, and it keeps
+    its own read-only copies of the arrays, so the checks below and
+    destination_cdf stay true of it.
     """
 
     rates: np.ndarray
@@ -213,9 +215,16 @@ class DemandModel:
     destination_cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.destination = np.asarray(self.destination, dtype=float)
-        self.driver_counts = np.asarray(self.driver_counts, dtype=np.int64)
+        # the model is frozen, so converted fields go in through object.__setattr__
+        def own(name, value):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+        # np.array copies, so a caller's later writes cannot reach the model
+        own("rates", np.array(self.rates, dtype=float))
+        own("destination", np.array(self.destination, dtype=float))
+        own("driver_counts", np.array(self.driver_counts, dtype=np.int64))
         if self.rates.ndim != 2:
             raise ValueError("rates must have shape (T, N)")
         n = self.rates.shape[1]
@@ -228,8 +237,8 @@ class DemandModel:
             raise ValueError("destination probabilities must be >= 0 and sum to 1 within 1e-9")
         if np.ndim(self.price_per_step) or np.ndim(self.base_fare):
             raise ValueError("price_per_step and base_fare must be scalars")
-        self.price_per_step = float(self.price_per_step)
-        self.base_fare = float(self.base_fare)
+        own("price_per_step", float(self.price_per_step))
+        own("base_fare", float(self.base_fare))
         if not (self.base_fare >= 0 and self.price_per_step >= 0):
             raise ValueError("revenue parameters must be >= 0")
         if not 0.0 <= self.revenue_noise <= 1.0:
@@ -241,7 +250,7 @@ class DemandModel:
         # an infinite rate times a pickup of 0 windows is NaN, not 0
         if not 0.0 <= self.cancellation < np.inf:
             raise ValueError("cancellation must be finite and >= 0")
-        self.destination_cdf = np.cumsum(self.destination)
+        own("destination_cdf", np.cumsum(self.destination))
 
     @property
     def n_cells(self) -> int:

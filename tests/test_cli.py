@@ -207,6 +207,19 @@ class TestConcordance:
         rows = [f"{t},{c},{v!r}" for t in range(len(values)) for c, v in enumerate(values[t])]
         return "\n".join(["t,cell,value"] + rows) + "\n"
 
+    def test_reports_tied_share_and_strict_rate(self, tmp_path):
+        # a flat source ties every pair, which the aggregate counts as agreement
+        values = np.random.default_rng(1).random((11, 4))
+        values[-1] = 0.0
+        flat = self.table_text(np.zeros((11, 4)).tolist())
+        result = self.run_concordance(tmp_path, flat, self.table_text(values.tolist()))
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [
+            "aggregate_concordance_rate=1.0",
+            "tied_share=1.0",
+            "strict_concordance_rate=nan",
+        ]
+
     def test_non_numeric_value_fails_cleanly(self, tmp_path):
         good = self.table_text(np.zeros((11, 4)).tolist())
         bad = good.replace("3,2,0.0", "3,2,abc")

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import dispatchlab
@@ -24,10 +25,17 @@ from dispatchlab.cli import main
 DATA = Path(__file__).parent / "data"
 
 
-def test_pinned_manifest_reruns_byte_identical(tmp_path):
+# The pinned manifest has two seeds, so --parallel 2 sends two work units
+# through the process pool.
+PARALLEL = pytest.mark.parametrize("parallel", ["1", "2"])
+
+
+@PARALLEL
+def test_pinned_manifest_reruns_byte_identical(tmp_path, parallel):
     out = tmp_path / "pinned"
+    config = str(DATA / "pinned.yaml")
     result = CliRunner().invoke(
-        main, ["simulate", "--config", str(DATA / "pinned.yaml"), "--out", str(out)]
+        main, ["simulate", "--config", config, "--out", str(out), "--parallel", parallel]
     )
     assert result.exit_code == 0, result.output
     for name in ("per_day.csv", "summary.csv"):
@@ -72,7 +80,8 @@ def test_pinned_manifest_is_byte_identical_without_avx512(tmp_path):
         assert (out / name).read_bytes() == (DATA / f"pinned_{name}").read_bytes(), name
 
 
-def test_pinned_repeat_day_reruns_byte_identical(tmp_path):
+@PARALLEL
+def test_pinned_repeat_day_reruns_byte_identical(tmp_path, parallel):
     out = tmp_path / "pinned"
     result = CliRunner().invoke(
         main,
@@ -84,6 +93,8 @@ def test_pinned_repeat_day_reruns_byte_identical(tmp_path):
             "3",
             "--out",
             str(out),
+            "--parallel",
+            parallel,
         ],
     )
     assert result.exit_code == 0, result.output

@@ -95,8 +95,7 @@ class TestGenerateWindow:
     def test_poisson_rate_monte_carlo(self):
         # cell 0 at rate 5, cell 1 silent; mean count within 3 sigma
         world = GridWorld(2, 10_000, np.ones((2, 2)))
-        model = flat_model(world, 0.0)
-        model.rates[:, 0] = 5.0
+        model = flat_model(world, 0.0, rates=np.tile([5.0, 0.0], (world.horizon, 1)))
         counts = []
         for t in range(2000):
             orders, _ = generate_window(model, world, t, window_rng(0, 0, 0, t))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -512,3 +514,21 @@ class TestConcordanceRateReport:
         report = concordance_rate_report(v, flipped, spec)
         assert report.aggregate == 0.0
         assert np.all(report.per_time == 0.0)
+
+    def test_all_tied_table_reads_concordant_with_no_strict_rate(self):
+        """A flat table ties every pair: the aggregate counts the ties as
+        agreement, and no untied entry is left for the strict rate."""
+        rng = np.random.default_rng(43)
+        v, _ = random_table_pair(rng)
+        flat = ValueTable(np.zeros_like(v.values), 0.9)
+        report = concordance_rate_report(flat, v, ConcordanceSpec(pairs=all_pairs(5)))
+        assert report.aggregate == 1.0
+        assert report.tied_share == 1.0
+        assert math.isnan(report.strict_rate)
+
+    def test_untied_table_against_itself_is_strictly_concordant(self):
+        rng = np.random.default_rng(44)
+        v, _ = random_table_pair(rng)
+        report = concordance_rate_report(v, v, ConcordanceSpec(pairs=all_pairs(5)))
+        assert report.tied_share == 0.0
+        assert report.strict_rate == 1.0

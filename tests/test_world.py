@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,23 @@ class TestDemandModel:
         kw["destination"] = np.full((2, 2), 0.5)  # one distribution for every origin
         with pytest.raises(ValueError, match="destination"):
             DemandModel(**kw)
+
+    def test_is_immutable(self):
+        """No field can change after the checks ran, so destination_cdf stays its CDF."""
+        kw = self._kwargs()
+        m = DemandModel(**kw)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.destination = np.array([0.0, 1.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.revenue_noise = 1.5
+        with pytest.raises(ValueError, match="read-only"):
+            m.rates[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.destination[0] = 1.0
+        # the model holds its own copies: the caller's arrays stay writable
+        kw["destination"][0] = 1.0
+        assert m.destination.tolist() == [0.5, 0.5]
+        assert m.destination_cdf.tolist() == [0.5, 1.0]
 
     def test_rejects_negative_fares(self):
         kw = self._kwargs()
