@@ -9,16 +9,8 @@ from .world import (
     OrderBatch,
     OrderRequest,
     State,
-    TransitionTuple,
 )
-from .valuation import (
-    TupleArrays,
-    ValueTable,
-    dp_evaluate,
-    q_value,
-    td_evaluate,
-    truncated_discounted_reward,
-)
+from .valuation import TupleArrays, ValueTable, dp_evaluate
 from .transfer import (
     ConcordanceSpec,
     OptimizationError,

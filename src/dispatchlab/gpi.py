@@ -41,7 +41,8 @@ class Buffer:
 
     Each view is a list of day parts, each sorted by start time. The
     evaluators read every backup slice from the parts themselves, so no
-    merged copy of the buffer is ever made.
+    merged copy of the buffer is ever made. The three views stay because
+    perfbench/layers.py times them.
     """
 
     source_days: List[TupleArrays] = field(default_factory=list)
@@ -71,7 +72,9 @@ def evaluate_policy_value(
 
     Target-fitting variants warm-start from the previous day's table. The
     source-only table is `v_src` itself, the DP fit of the source days, on
-    every day.
+    every day. `opt=None` means `OptimizerSettings()` (100 iterations, tol
+    1e-10), not `Scenario.optimizer_settings()` (250 iterations, tol 1e-5 by
+    default), which the GPI loop passes.
     """
     T, n = world.horizon, world.n_cells
     if kind is PolicyKind.GREEDY:
@@ -160,7 +163,6 @@ def _gpi_passes(
     gamma: float,
     seed: int,
     lam: Optional[float],
-    opt: Optional[OptimizerSettings],
     source: Optional[SourceData],
 ) -> Iterator[Tuple[DayMetrics, ValueTable, Optional[ValueTable]]]:
     """GPI over the target days in `schedule`: evaluate, dispatch the day, absorb the data.
@@ -179,7 +181,7 @@ def _gpi_passes(
         lam=scenario.lam if lam is None else lam,
         margin=scenario.margin,
     )
-    opt = opt or scenario.optimizer_settings()
+    opt = scenario.optimizer_settings()
     buffer = Buffer(source_days=list(source.days))
     prev: Optional[ValueTable] = None
     for day in schedule:
@@ -202,11 +204,10 @@ def run_experiment(
     gamma: float,
     seed: int,
     lam: Optional[float] = None,
-    opt: Optional[OptimizerSettings] = None,
     source: Optional[SourceData] = None,
 ) -> List[DayRow]:
     """GPI over target days 0 .. days - 1, one row per day."""
-    passes = _gpi_passes(scenario, kind, range(days), gamma, seed, lam, opt, source)
+    passes = _gpi_passes(scenario, kind, range(days), gamma, seed, lam, source)
     return [
         DayRow(
             day=day,
@@ -235,7 +236,6 @@ def repeat_single_day(
     gamma: float,
     seed: int,
     lam: Optional[float] = None,
-    opt: Optional[OptimizerSettings] = None,
     source: Optional[SourceData] = None,
 ) -> List[RepeatRow]:
     """GPI over target day 0, `repetitions` times, updating the value table between passes.
@@ -245,7 +245,7 @@ def repeat_single_day(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    passes = _gpi_passes(scenario, kind, [0] * repetitions, gamma, seed, lam, opt, source)
+    passes = _gpi_passes(scenario, kind, [0] * repetitions, gamma, seed, lam, source)
     return [
         RepeatRow(
             iteration=it,

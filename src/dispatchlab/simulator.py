@@ -23,8 +23,6 @@ from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, Ord
 # the order it serves, or None to stay idle (the km_match assignment form).
 Policy = Callable[[DriverBatch, OrderBatch, int], Sequence[Optional[int]]]
 
-EMPTY_IDS = np.empty(0, dtype=np.int64)
-
 
 @dataclass
 class DayMetrics:
@@ -189,7 +187,7 @@ def generate_window(
     world: GridWorld,
     t: int,
     rng: np.random.Generator,
-    pool: Optional[DriverPool] = None,
+    pool: DriverPool,
 ) -> Tuple[OrderBatch, DriverBatch]:
     """Draw this window's orders and list the idle drivers.
 
@@ -201,9 +199,7 @@ def generate_window(
     """
     if not 0 <= t < world.horizon:
         raise ValueError(f"window index {t} outside [0, {world.horizon})")
-    drivers = pool.idle_at(t) if pool is not None else DriverBatch(EMPTY_IDS, EMPTY_IDS, t)
-    if model.scripted_orders is not None:
-        return OrderBatch.from_requests(model.scripted_orders.get(t, []), t), drivers
+    drivers = pool.idle_at(t)
     counts = rng.poisson(model.rates[t])
     total = int(counts.sum())
     if total == 0:
@@ -218,11 +214,20 @@ def generate_window(
     return OrderBatch(origins, dests, revenues, durations, t), drivers
 
 
-def as_order_index(assignment: Sequence[Optional[int]]) -> np.ndarray:
-    """The km_match assignment form as an int64 array, -1 for idle."""
+def as_order_index(assignment: Sequence[Optional[int]], m: int, n: int) -> np.ndarray:
+    """The km_match assignment form for m drivers and n orders as an int64
+    array, -1 for idle. Another length, or an entry that is neither -1 nor
+    an order, raises ConstraintViolation."""
     if isinstance(assignment, np.ndarray):
-        return assignment.astype(np.int64)
-    return np.array([-1 if k is None else k for k in assignment], dtype=np.int64)
+        k = assignment.astype(np.int64)
+    else:
+        k = np.array([-1 if x is None else x for x in assignment], dtype=np.int64)
+    if k.shape != (m,):
+        raise ConstraintViolation(f"assignment has {len(k)} entries for {m} drivers")
+    if m and (k.min() < -1 or k.max() >= n):
+        bad = k[(k < -1) | (k >= n)][0]
+        raise ConstraintViolation(f"assignment entry {bad} is neither one of {n} orders nor -1")
+    return k
 
 
 def apply_matching(
@@ -237,20 +242,17 @@ def apply_matching(
     `assignment[l]` is the order driver l serves, or None (or -1) to idle.
     Serve tuples cover pickup plus trip with the truncated, pickup-delayed
     installment reward; idle tuples advance one window in place. Duplicate
-    drivers or duplicate orders are rejected.
+    drivers or orders, and entries that `as_order_index` rejects, raise
+    ConstraintViolation.
     """
     t, T, m = drivers.t, world.horizon, len(drivers)
-    k = as_order_index(assignment)
-    if k.shape != (m,):
-        raise ConstraintViolation(f"assignment has {len(k)} entries for {m} drivers")
-    if m and k.min() < -1:
-        raise ConstraintViolation(f"assignment entry {k.min()} is neither an order nor -1")
+    k = as_order_index(assignment, m, len(orders))
     if m > 1 and np.bincount(drivers.driver_id).max() > 1:
         raise ConstraintViolation("a driver is assigned twice")
     serve = (k >= 0).nonzero()[0]
     ko = k[serve]
-    if ko.size and (ko.max() >= len(orders) or np.bincount(ko).max() > 1):
-        raise ConstraintViolation("an order is assigned to two drivers or does not exist")
+    if ko.size and np.bincount(ko).max() > 1:
+        raise ConstraintViolation("an order is assigned to two drivers")
     pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[ko]]
     trip = orders.duration[ko]
     powers = discount_table(gamma, int(pickup.max(initial=0) + trip.max(initial=0)) + 1)
@@ -291,7 +293,7 @@ def run_day(
         metrics.orders_created += len(orders)
         if not len(drivers):
             continue
-        k = as_order_index(policy(drivers, orders, t))
+        k = as_order_index(policy(drivers, orders, t), len(drivers), len(orders))
         serve = (k >= 0).nonzero()[0]
         if serve.size:
             metrics.orders_answered += serve.size

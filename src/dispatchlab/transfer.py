@@ -106,18 +106,18 @@ def _pair_gaps(v_a: ValueTable, v_b: ValueTable, spec: ConcordanceSpec) -> List[
     return [v.values[:-1, pi] - v.values[:-1, pj] for v in (v_a, v_b)]
 
 
-def _discord_mask(v_a: ValueTable, v_b: ValueTable, spec: ConcordanceSpec) -> np.ndarray:
-    """(time, pair) mask of the pairs the two tables rank in opposite order.
+def _discord_mask(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """(time, pair) mask of the pairs that two tables, given by their
+    `_pair_gaps` d1 and d2, rank in opposite order.
 
     Ties (either difference exactly zero) count as concordant.
     """
-    d1, d2 = _pair_gaps(v_a, v_b, spec)
     return d1 * d2 < 0
 
 
 def concordance_loss(v: ValueTable, v_src: ValueTable, spec: ConcordanceSpec) -> float:
     """Fraction of (time, pair) combinations whose ranking flips between tables."""
-    return float(np.mean(_discord_mask(v, v_src, spec)))
+    return float(np.mean(_discord_mask(*_pair_gaps(v, v_src, spec))))
 
 
 def hinge_penalty(v_t: np.ndarray, v_src_t: np.ndarray, spec: ConcordanceSpec) -> float:
@@ -373,7 +373,11 @@ def transfer_evaluate(
     opt: Optional[OptimizerSettings] = None,
     init: Optional[ValueTable] = None,
 ) -> ValueTable:
-    """Backward pass solving the concordance-penalized TD problem per time step."""
+    """Backward pass solving the concordance-penalized TD problem per time step.
+
+    `opt=None` means `OptimizerSettings()` (100 iterations, tol 1e-10), not
+    `Scenario.optimizer_settings()` (250 iterations, tol 1e-5 by default).
+    """
     T, n = world.horizon, world.n_cells
     if v_src.values.shape != (T + 1, n):
         raise ValueError(
@@ -436,7 +440,7 @@ def concordance_rate_report(
 ) -> ConcordanceReport:
     """Concordance rate (1 - loss), aggregate and per time slice, with the tie counts."""
     d1, d2 = _pair_gaps(v_a, v_b, spec)
-    discord = _discord_mask(v_a, v_b, spec)
+    discord = _discord_mask(d1, d2)
     untied = int(np.count_nonzero((d1 != 0) & (d2 != 0)))
     return ConcordanceReport(
         aggregate=float(1.0 - np.mean(discord)),

@@ -1,4 +1,4 @@
-"""Tabular state values: discounted rewards, DP backup, and TD least squares."""
+"""Tabular state values: the columnar transition buffer, its backup targets and the DP fit."""
 from __future__ import annotations
 
 import csv
@@ -11,35 +11,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .world import DriverSlot, GridWorld, OrderRequest, TransitionTuple
-
-
-def truncated_discounted_reward(
-    revenue: float, duration: int, gamma: float, steps_allowed: int
-) -> float:
-    """Discounted sum of equal per-window revenue installments inside the horizon.
-
-    The revenue is split into `duration` installments paid at offsets
-    0 .. duration-1, and the first `steps_allowed` of them count. With
-    steps_allowed >= duration, gamma = 1 recovers the full revenue.
-    """
-    if duration < 1:
-        raise ValueError(f"duration must be >= 1, got {duration}")
-    paid = min(duration, max(0, steps_allowed))
-    if paid == 0:
-        return 0.0
-    per_step = revenue / duration
-    if gamma == 1.0:
-        return per_step * paid
-    return per_step * (1.0 - gamma**paid) / (1.0 - gamma)
+from .world import GridWorld
 
 
 @lru_cache(maxsize=None)
 def discount_table(gamma: float, n: int) -> np.ndarray:
-    """gamma ** k for k < n, by Python's float power: the factors of
-    `truncated_discounted_reward` on every numpy build (numpy's AVX-512 array
-    power rounds 0.9 ** 12 and 0.9 ** 23 differently). Every discount of the
-    simulator, the matcher and the backup is read from such a table.
+    """gamma ** k for k < n, by Python's float power: the factors of the scalar
+    reward in tests/reference_objects.py on every numpy build (numpy's AVX-512
+    array power rounds 0.9 ** 12 and 0.9 ** 23 differently). Every discount of
+    the simulator, the matcher and the backup is read from such a table.
 
     Tables are cached per (gamma, n), so the array is read-only.
     """
@@ -53,11 +33,12 @@ def served_transition(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Total duration, truncated finish time and reward of serving orders.
 
-    The reward is `gamma ** pickup * truncated_discounted_reward(revenue,
-    duration, gamma, horizon - (t + pickup))`, elementwise, with the same
-    operations in the same order: what the matcher scores is what the
-    simulator pays. The arguments broadcast; `powers` is
-    `discount_table(gamma, n)` with n > every pickup + duration.
+    The reward is elementwise `gamma ** pickup * truncated_discounted_reward(
+    revenue, duration, gamma, horizon - (t + pickup))` of
+    tests/reference_objects.py, with the same operations in the same order:
+    what the matcher scores is what the simulator pays. The arguments
+    broadcast; `powers` is `discount_table(gamma, n)` with n > every pickup +
+    duration.
     """
     total = pickup + duration
     finish_t = np.minimum(t + total, horizon)
@@ -213,7 +194,7 @@ class TupleArrays:
     are the full ones among them. All three are short Python lists, so
     `slice_at` is a bisection with no numpy call. `start_t`, `finish_t`,
     `finish_cell`, `reward` and `duration` are derived as new read-only
-    full columns.
+    full columns; only `as_arrays`, tests and perfbench/layers.py read them.
     """
 
     __slots__ = ("start_cell", "full", "full_reward", "_times", "_bounds", "_kept")
@@ -324,7 +305,10 @@ class TupleArrays:
         return self._derived(np.ones(len(self), dtype=INDEX_DTYPE), self.full[:, 3])
 
     @classmethod
-    def from_tuples(cls, tuples: Sequence[TransitionTuple]) -> "TupleArrays":
+    def from_tuples(cls, tuples) -> "TupleArrays":
+        """The sorted columns of records with `.start` and `.finish` (each with
+        `.t` and `.cell`), `.reward_discounted` and `.duration`. Tests build
+        buffers with it, and perfbench/layers.py times it."""
         rows = [
             (tr.start.t, tr.start.cell, tr.finish.t, tr.finish.cell, tr.reward_discounted, tr.duration)
             for tr in tuples
@@ -347,24 +331,18 @@ class TupleArrays:
         return slice(0, 0) if span is None else slice(span[0], span[1])
 
 
-BufferLike = Union[TupleArrays, Sequence[TupleArrays], Sequence[TransitionTuple]]
+BufferLike = Union[TupleArrays, Sequence[TupleArrays]]
 
 
 def as_parts(buffer: BufferLike) -> List[TupleArrays]:
-    """The buffer as a list of parts, each sorted by start time.
-
-    A `TupleArrays` is one part and a sequence of them is a list of parts;
-    a sequence of `TransitionTuple` becomes one part. An empty buffer is [].
-    """
-    if isinstance(buffer, TupleArrays):
-        return [buffer]
-    if all(isinstance(part, TupleArrays) for part in buffer):
-        return list(buffer)
-    return [TupleArrays.from_tuples(buffer)]
+    """The buffer as a list of parts, each sorted by start time: a
+    `TupleArrays` is one part. An empty buffer is []."""
+    return [buffer] if isinstance(buffer, TupleArrays) else list(buffer)
 
 
 def as_arrays(buffer: BufferLike) -> TupleArrays:
-    """The buffer as one `TupleArrays`: its parts merged, stably by start time."""
+    """The buffer as one `TupleArrays`: its parts merged, stably by start
+    time. Only tests and perfbench/layers.py (to check dp_evaluate) merge."""
     parts = as_parts(buffer)
     if len(parts) < 2:
         return TupleArrays.join(parts)
@@ -423,7 +401,8 @@ def td_slice(
 
     Later-time rows of `values` must already be final; each target is
     gamma^duration * V(finish) + discounted reward. This is the one backup
-    target of dp_evaluate, td_evaluate and transfer_evaluate.
+    target of dp_evaluate and transfer_evaluate (and of the lstsq
+    `td_evaluate` in tests/reference_objects.py).
 
     The rows come part by part, each part in its own order: the order of
     slice t of the stable start-time sort of all parts joined, so the
@@ -479,57 +458,3 @@ def dp_evaluate(
         covered = counts > 0
         values[t, covered] = sums[covered] / counts[covered]
     return ValueTable(values, gamma)
-
-
-def td_evaluate(
-    buffer: BufferLike,
-    world: GridWorld,
-    gamma: float,
-    init: Optional[ValueTable] = None,
-) -> ValueTable:
-    """Least-squares TD estimate, solved per time step via a linear system.
-
-    At each t the squared TD error over the slice is minimized with all
-    later-time values already fixed; the design matrix is the one-hot cell
-    encoding, solved with numpy's least-squares routine rather than the
-    closed-form mean so this path stays independent of dp_evaluate.
-    """
-    arr, values = backup_start(buffer, world, init)
-    n = world.n_cells
-    for t in range(world.horizon - 1, -1, -1):
-        cells, targets = td_slice(arr, t, values, gamma)
-        if len(cells) == 0:
-            continue
-        design = np.zeros((len(cells), n))
-        design[np.arange(len(cells)), cells] = 1.0
-        sol, _, _, _ = np.linalg.lstsq(design, targets, rcond=None)
-        covered = np.bincount(cells, minlength=n) > 0
-        values[t, covered] = sol[covered]
-    return ValueTable(values, gamma)
-
-
-def q_value(
-    value: ValueTable,
-    driver: DriverSlot,
-    order: Optional[OrderRequest],
-    gamma: float,
-    world: GridWorld,
-) -> float:
-    """Score of offering `order` to `driver` (or of leaving it idle).
-
-    The null option is the driver's own state value. For an order, the
-    discount exponent spans pickup plus trip, the continuation value is read
-    at the (truncated) finish state, and the revenue installments are paid
-    over the on-trip windows only, delayed by the pickup travel.
-    """
-    t = driver.state.t
-    if order is None:
-        return value.get(t, driver.state.cell)
-    T = world.horizon
-    pickup = world.pickup_time(driver.state.cell, order.origin)
-    total = pickup + order.duration
-    finish_t = min(t + total, T)
-    r_k = gamma**pickup * truncated_discounted_reward(
-        order.revenue, order.duration, gamma, T - (t + pickup)
-    )
-    return gamma**total * value.get(finish_t, order.destination) + r_k

@@ -1,4 +1,4 @@
-"""Grid world, orders, drivers, and transition records for the dispatch SMDP.
+"""Grid world, orders, drivers and demand for the dispatch SMDP.
 
 Cells are opaque indices; geometry only enters through the travel-time table.
 A day is a finite horizon of T dispatch windows, so driver states live on the
@@ -7,7 +7,6 @@ A day is a finite horizon of T dispatch windows, so driver states live on the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -16,6 +15,8 @@ class ConstraintViolation(ValueError):
     """An assignment or configuration breaks a hard exclusivity/validity rule."""
 
 
+# State, OrderRequest and DriverSlot are the object form of a driver and an
+# order; perfbench/test_checks.py builds its match problems from them.
 @dataclass(frozen=True, order=True)
 class State:
     """Temporal-spatial driver state: window index and cell index."""
@@ -29,8 +30,9 @@ class GridWorld:
 
     travel_time[i, j] is the number of windows a trip from cell i to cell j
     occupies; it must be a positive integer for every pair (including i == j,
-    where it is the in-cell trip time). Pickup of a driver already in the
-    order's origin cell takes 0 windows.
+    where it is the in-cell trip time). pickup_matrix[i, j], the windows a
+    driver in cell i needs to reach an order from cell j, is the same table
+    with a zero diagonal.
     """
 
     def __init__(self, n_cells: int, horizon: int, travel_time: np.ndarray):
@@ -48,15 +50,10 @@ class GridWorld:
         self.n_cells = n_cells
         self.horizon = horizon
         self.travel_time = tt.astype(np.int64)
-        # travel_time with a zero diagonal, for vectorized pickup lookups
         pickup = self.travel_time.copy()
         np.fill_diagonal(pickup, 0)
         pickup.setflags(write=False)
         self.pickup_matrix = pickup
-
-    def pickup_time(self, from_cell: int, to_cell: int) -> int:
-        """Windows needed to reach an order's origin; zero within the same cell."""
-        return int(self.pickup_matrix[from_cell, to_cell])
 
     @classmethod
     def lattice(cls, rows: int, cols: int, horizon: int):
@@ -126,16 +123,6 @@ class OrderBatch:
         none = np.empty(0, dtype=np.int64)
         return cls(none, none, np.empty(0), none, t)
 
-    @classmethod
-    def from_requests(cls, requests: Sequence[OrderRequest], t: int) -> "OrderBatch":
-        return cls(
-            [o.origin for o in requests],
-            [o.destination for o in requests],
-            [o.revenue for o in requests],
-            [o.duration for o in requests],
-            t,
-        )
-
 
 class DriverBatch:
     """The idle drivers offered to the matcher at window t, as columns.
@@ -165,26 +152,6 @@ class DriverBatch:
 
 
 @dataclass(frozen=True)
-class TransitionTuple:
-    """One driver decision: serve an order or idle for a window.
-
-    Idle: finish = (start.t + 1, start.cell), reward 0, duration 1.
-    Serve: duration covers pickup plus trip; finish time is truncated at the
-    horizon and the reward is the truncated discounted installment sum.
-    """
-
-    start: State
-    order: Optional[OrderRequest]
-    reward_discounted: float
-    finish: State
-    duration: int
-
-    @property
-    def is_idle(self) -> bool:
-        return self.order is None
-
-
-@dataclass(frozen=True)
 class DemandModel:
     """Synthetic per-window demand and supply for one environment.
 
@@ -196,8 +163,6 @@ class DemandModel:
     driver_counts seeds the initial idle fleet per cell.
     cancellation is the per-pickup-window probability increment that an
     accepted order is cancelled before completion.
-    scripted_orders, when set, overrides sampling for listed windows (used by
-    deterministic micro-scenarios in tests).
 
     The model is immutable: its fields cannot be reassigned, and it keeps
     its own read-only copies of the arrays, so the checks below and
@@ -211,7 +176,6 @@ class DemandModel:
     revenue_noise: float
     driver_counts: np.ndarray
     cancellation: float = 0.0
-    scripted_orders: Optional[dict] = None
     destination_cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):

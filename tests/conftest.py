@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from dispatchlab import DriverBatch, GridWorld, OrderBatch, OrderRequest, State, TransitionTuple
+from dispatchlab import DriverBatch, GridWorld, OrderRequest, State
 from dispatchlab.valuation import discount_table
+
+from reference_objects import TransitionTuple
 
 # Pass/fail lines recorded by the acceptance tests, echoed after the run.
 ACCEPTANCE_LINES = []
@@ -33,11 +35,6 @@ def driver_batch(slots, t=0):
         t = slots[0].state.t
         assert all(s.state.t == t for s in slots)
     return DriverBatch([s.driver_id for s in slots], [s.state.cell for s in slots], t)
-
-
-def order_batch(requests, t=0):
-    """OrderBatch of OrderRequest objects created at window t."""
-    return OrderBatch.from_requests(requests, t)
 
 
 def random_buffer(rng, world, n_tuples, reward_scale=1.0):

@@ -6,11 +6,13 @@ Its policies score each pair with the scalar reward definition and solve
 them with `km_match`. It draws from the same RNG streams in the same order as
 `dispatchlab.simulator`, so for equal inputs the columnar loop must return
 the same columns as its tuples stored in full (`conftest.FullPart`) and the same
-`DayMetrics`, bit for bit.
+`DayMetrics`, bit for bit. `run_day(..., scripted=)` serves listed orders
+in place of sampled demand, as `reference_objects.script_orders` makes the
+columnar loop do.
 """
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,16 +24,17 @@ from dispatchlab import (
     GridWorld,
     OrderRequest,
     State,
-    TransitionTuple,
     ValueTable,
     km_match,
-    truncated_discounted_reward,
 )
 from dispatchlab.dispatch import MatchProblem
 from dispatchlab.simulator import window_rng
 
+from reference_objects import TransitionTuple, truncated_discounted_reward
+
 Assignment = Tuple[DriverSlot, Optional[OrderRequest]]
 ObjectPolicy = Callable[[List[DriverSlot], List[OrderRequest], int], List[Assignment]]
+Scripted = Optional[Dict[int, List[OrderRequest]]]
 
 
 class DriverPool:
@@ -52,11 +55,11 @@ class DriverPool:
 
 
 def generate_window(
-    model: DemandModel, world: GridWorld, t: int, rng, pool: DriverPool
+    model: DemandModel, world: GridWorld, t: int, rng, pool: DriverPool, scripted: Scripted
 ) -> Tuple[List[OrderRequest], List[DriverSlot]]:
     drivers = pool.idle_at(t)
-    if model.scripted_orders is not None:
-        return list(model.scripted_orders.get(t, [])), drivers
+    if scripted is not None:
+        return list(scripted.get(t, [])), drivers
     counts = rng.poisson(model.rates[t])
     total = int(counts.sum())
     if total == 0:
@@ -94,7 +97,7 @@ def apply_matching(
         if id(order) in seen_orders:
             raise ConstraintViolation("order assigned to two drivers")
         seen_orders.add(id(order))
-        pickup = world.pickup_time(start.cell, order.origin)
+        pickup = int(world.pickup_matrix[start.cell, order.origin])
         duration = pickup + order.duration
         finish_t = min(t + duration, T)
         reward = gamma**pickup * truncated_discounted_reward(
@@ -114,13 +117,14 @@ def run_day(
     seed: int,
     phase: int = 0,
     day: int = 0,
+    scripted: Scripted = None,
 ) -> Tuple[List[TransitionTuple], DayMetrics]:
     pool = DriverPool(model.driver_counts)
     metrics = DayMetrics()
     tuples: List[TransitionTuple] = []
     for t in range(world.horizon):
         rng = window_rng(seed, phase, day, t)
-        orders, drivers = generate_window(model, world, t, rng, pool)
+        orders, drivers = generate_window(model, world, t, rng, pool, scripted)
         metrics.orders_created += len(orders)
         if not drivers:
             continue
@@ -133,7 +137,7 @@ def run_day(
                 executed.append((driver, None))
                 continue
             metrics.orders_answered += 1
-            pickup = world.pickup_time(driver.state.cell, order.origin)
+            pickup = int(world.pickup_matrix[driver.state.cell, order.origin])
             p_complete = min(1.0, max(0.0, 1.0 - model.cancellation * pickup))
             if cancel_u[order_ids[id(order)]] < p_complete:
                 metrics.orders_completed += 1
@@ -169,7 +173,7 @@ def build_problem(
         t, cell = driver.state.t, driver.state.cell
         scores[l, 0] = value.get(t, cell)
         for k, order in enumerate(orders):
-            pickup = world.pickup_time(cell, order.origin)
+            pickup = int(world.pickup_matrix[cell, order.origin])
             total = pickup + order.duration
             reward = gamma**pickup * truncated_discounted_reward(
                 order.revenue, order.duration, gamma, T - (t + pickup)

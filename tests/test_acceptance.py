@@ -64,7 +64,7 @@ def test_criterion_1_dp_td_equivalence():
         buf = random_buffer(rng, world, 1000, reward_scale=5.0)
         arr = TupleArrays.from_tuples(buf)
         v_dp = dp_evaluate(arr, world, 0.9)
-        v_td = transfer_evaluate(buf, zero_src, spec, world, 0.9, opt=opt)
+        v_td = transfer_evaluate(arr, zero_src, spec, world, 0.9, opt=opt)
         worst = max(worst, float(np.max(np.abs(v_td.values - v_dp.values))))
     elapsed = time.perf_counter() - start
     record(

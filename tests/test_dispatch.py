@@ -13,7 +13,6 @@ from dispatchlab import (
     advantage_transform,
     build_problem,
     km_match,
-    truncated_discounted_reward,
 )
 from dispatchlab import gpi
 from dispatchlab.scenario import Scenario, default_scenario
@@ -24,8 +23,8 @@ from conftest import (
     driver_batch,
     make_world,
     null_expansion_match,
-    order_batch,
 )
+from reference_objects import order_batch, q_value, truncated_discounted_reward
 
 
 def problem_from_scores(scores, feasible=None):
@@ -105,8 +104,6 @@ class TestBuildProblem:
         assert p.scores[0, 1] == pytest.approx(3.52)
 
     def test_q_scores_match_scalar_oracle(self):
-        from dispatchlab import q_value
-
         # a long lattice: pickups, trips and their sums reach every exponent
         # up to 60, and some trips run past the horizon
         world = GridWorld.lattice(1, 31, 50)

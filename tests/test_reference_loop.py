@@ -7,7 +7,6 @@ from dispatchlab import (
     DriverBatch,
     DriverSlot,
     GridWorld,
-    OrderBatch,
     OrderRequest,
     Scenario,
     State,
@@ -22,6 +21,7 @@ from dispatchlab.valuation import td_slice
 
 import reference_loop as ref
 from conftest import FullPart, assert_same_part
+from reference_objects import order_batch, script_orders
 
 TRIPLES = [(0, 0, 0), (5, 1, 3), (11, 1, 7)]  # (seed, phase, day)
 
@@ -60,11 +60,16 @@ def policies(kind, table, gamma, world, radius):
     )
 
 
-def assert_same_day(world, model, kind, gamma, radius, seed, phase, day, table=None):
+def assert_same_day(
+    world, model, kind, gamma, radius, seed, phase, day, table=None, scripted=None
+):
+    """`scripted` must also be installed for `run_day` with `script_orders`."""
     table = table or random_table(world, gamma)
     new_policy, old_policy = policies(kind, table, gamma, world, radius)
     arrays, metrics = run_day(world, model, new_policy, gamma, seed, phase=phase, day=day)
-    tuples, ref_metrics = ref.run_day(world, model, old_policy, gamma, seed, phase=phase, day=day)
+    tuples, ref_metrics = ref.run_day(
+        world, model, old_policy, gamma, seed, phase=phase, day=day, scripted=scripted
+    )
     assert len(arrays) == len(tuples) > 0
     assert_same_targets(arrays, FullPart.from_tuples(tuples), world, table.values, gamma)
     assert metrics == ref_metrics
@@ -95,7 +100,7 @@ def test_sampled_demand_matches_reference(kind, gamma, radius, seed, phase, day)
 
 @pytest.mark.parametrize("kind", ["myopic", "value"])
 @pytest.mark.parametrize("gamma", [0.9, 1.0])
-def test_scripted_orders_match_reference(kind, gamma):
+def test_scripted_orders_match_reference(kind, gamma, monkeypatch):
     # cells on a line, 12 windows from end to end: pickups, paid installments
     # and whole trips reach 12 and 23 windows, where numpy's array power and
     # Python's float power of 0.9 differ in the last bit; trips that run past
@@ -119,14 +124,14 @@ def test_scripted_orders_match_reference(kind, gamma):
         revenue_noise=0.0,
         driver_counts=counts,
         cancellation=0.02,
-        scripted_orders=scripted,
     )
+    script_orders(monkeypatch, scripted)
     for seed in (0, 1, 2):
-        metrics = assert_same_day(world, model, kind, gamma, None, seed, 1, 0)
+        metrics = assert_same_day(world, model, kind, gamma, None, seed, 1, 0, scripted=scripted)
         assert metrics.orders_completed >= 4
 
 
-def test_served_rows_like_idle_ones_match_reference():
+def test_served_rows_like_idle_ones_match_reference(monkeypatch):
     # driver l serves order l: order 0 pays nothing for one window in its own cell, so
     # its row equals an idle transition in every field; order 1 pays -0.0
     world = GridWorld.lattice(1, 4, 6)
@@ -142,8 +147,8 @@ def test_served_rows_like_idle_ones_match_reference():
         revenue_noise=0.0,
         driver_counts=np.array([1, 0, 1, 0]),
         cancellation=0.0,
-        scripted_orders=scripted,
     )
+    script_orders(monkeypatch, scripted)
 
     def in_turn(drivers, orders, t):
         return [l if l < len(orders) else None for l in range(len(drivers))]
@@ -152,7 +157,9 @@ def test_served_rows_like_idle_ones_match_reference():
         return [(d, orders[l] if l < len(orders) else None) for l, d in enumerate(drivers)]
 
     arrays, metrics = run_day(world, model, in_turn, 0.9, seed=0)
-    tuples, ref_metrics = ref.run_day(world, model, in_turn_objects, 0.9, seed=0)
+    tuples, ref_metrics = ref.run_day(
+        world, model, in_turn_objects, 0.9, seed=0, scripted=scripted
+    )
     values = random_table(world, 0.9).values
     values[2:4, 0] = -0.0
     assert_same_targets(arrays, FullPart.from_tuples(tuples), world, values, 0.9)
@@ -184,7 +191,7 @@ def test_build_problem_scores_match_reference(gamma, radius):
         slots = [DriverSlot(l, State(t, int(c))) for l, c in enumerate(cells)]
         got = build_problem(
             DriverBatch(np.arange(9), cells, t),
-            OrderBatch.from_requests(requests, t),
+            order_batch(requests, t),
             table,
             gamma,
             world,
@@ -219,7 +226,7 @@ def test_apply_matching_matches_reference(gamma):
         pairs = [(d, None if k is None else requests[k]) for d, k in zip(slots, assignment)]
         got = apply_matching(
             DriverBatch(np.arange(12), cells, t),
-            OrderBatch.from_requests(requests, t),
+            order_batch(requests, t),
             assignment,
             gamma,
             world,

@@ -17,12 +17,12 @@ from dispatchlab import (
     generate_window,
     run_day,
     transfer_evaluate,
-    truncated_discounted_reward,
 )
 from dispatchlab.simulator import DayStreams, window_rng
 from dispatchlab.valuation import as_arrays, is_idle
 
 from conftest import assert_same_part, assert_tuple_dtypes
+from reference_objects import order_batch, script_orders, truncated_discounted_reward
 from test_gpi import micro_scenario
 
 ORDER_COLUMNS = ("origin", "destination", "revenue", "duration")
@@ -81,24 +81,27 @@ class TestGenerateWindow:
     def test_deterministic_under_fixed_seed(self):
         world = GridWorld.lattice(2, 2, 10)
         model = flat_model(world, 1.5, revenue_noise=0.2)
-        a, _ = generate_window(model, world, 3, window_rng(7, 1, 2, 3))
-        b, _ = generate_window(model, world, 3, window_rng(7, 1, 2, 3))
+        pool = DriverPool(model.driver_counts)
+        a, _ = generate_window(model, world, 3, window_rng(7, 1, 2, 3), pool)
+        b, _ = generate_window(model, world, 3, window_rng(7, 1, 2, 3), pool)
         assert len(a) > 0
         assert same_columns(a, b, ORDER_COLUMNS)
 
     def test_rejects_out_of_range_window(self):
         world = GridWorld(2, 6, np.ones((2, 2)))
         model = flat_model(world, 1.0)
+        pool = DriverPool(model.driver_counts)
         with pytest.raises(ValueError, match="window"):
-            generate_window(model, world, 6, window_rng(0, 0, 0, 0))
+            generate_window(model, world, 6, window_rng(0, 0, 0, 0), pool)
 
     def test_poisson_rate_monte_carlo(self):
         # cell 0 at rate 5, cell 1 silent; mean count within 3 sigma
         world = GridWorld(2, 10_000, np.ones((2, 2)))
         model = flat_model(world, 0.0, rates=np.tile([5.0, 0.0], (world.horizon, 1)))
+        pool = DriverPool(model.driver_counts)
         counts = []
         for t in range(2000):
-            orders, _ = generate_window(model, world, t, window_rng(0, 0, 0, t))
+            orders, _ = generate_window(model, world, t, window_rng(0, 0, 0, t), pool)
             assert np.all(orders.origin == 0)
             counts.append(len(orders))
         n = len(counts)
@@ -108,22 +111,13 @@ class TestGenerateWindow:
     def test_revenue_follows_fare_schedule(self):
         world = GridWorld.lattice(1, 4, 8)
         model = flat_model(world, 2.0, base_fare=1.5)
-        orders, _ = generate_window(model, world, 0, window_rng(1, 0, 0, 0))
+        pool = DriverPool(model.driver_counts)
+        orders, _ = generate_window(model, world, 0, window_rng(1, 0, 0, 0), pool)
         assert len(orders) > 0
         assert np.array_equal(
             orders.duration, world.travel_time[orders.origin, orders.destination]
         )
         assert orders.revenue == pytest.approx(1.5 + 1.0 * orders.duration)
-
-    def test_scripted_orders_bypass_sampling(self):
-        world = GridWorld(2, 6, np.ones((2, 2)))
-        scripted = {2: [OrderRequest(0, 1, 4.0, 1, 2)]}
-        model = flat_model(world, 10.0, scripted_orders=scripted)
-        orders, _ = generate_window(model, world, 2, window_rng(0, 0, 0, 2))
-        assert orders.t == 2
-        assert same_columns(orders, OrderBatch.from_requests(scripted[2], 2), ORDER_COLUMNS)
-        orders, _ = generate_window(model, world, 3, window_rng(0, 0, 0, 3))
-        assert len(orders) == 0
 
 
 class TestDayStreams:
@@ -158,7 +152,7 @@ class TestApplyMatching:
 
     def serve_one(self, t, cell, order, gamma):
         """Tuples of one driver at (t, cell) assigned the single order `order`."""
-        drivers, orders = DriverBatch([0], [cell], t), OrderBatch.from_requests([order], t)
+        drivers, orders = DriverBatch([0], [cell], t), order_batch([order], t)
         arr = apply_matching(drivers, orders, [0], gamma, self.world)
         assert len(arr) == 1
         assert_tuple_dtypes(arr)
@@ -204,7 +198,7 @@ class TestApplyMatching:
             OrderRequest(1, 1, 0.0, 1, 5),
             OrderRequest(0, 1, -0.0, 1, 5),
         ]
-        orders = OrderBatch.from_requests(requests, 5)
+        orders = order_batch(requests, 5)
         assignment = [0, None, None, 1, 2][:m]
         arr = apply_matching(drivers, orders, assignment, 0.9, self.world)
         assert len(arr) == m
@@ -221,13 +215,13 @@ class TestApplyMatching:
             apply_matching(drivers, OrderBatch.empty(0), [None, None], 0.9, self.world)
 
     def test_rejects_entry_below_minus_one(self):
-        orders = OrderBatch.from_requests([OrderRequest(0, 1, 5.0, 1, 0)], 0)
+        orders = order_batch([OrderRequest(0, 1, 5.0, 1, 0)], 0)
         drivers = DriverBatch([0, 1], [0, 0], 0)
         with pytest.raises(ConstraintViolation, match="-2"):
             apply_matching(drivers, orders, [-2, 0], 0.9, self.world)
 
     def test_rejects_duplicate_order(self):
-        orders = OrderBatch.from_requests([OrderRequest(0, 1, 5.0, 1, 0)], 0)
+        orders = order_batch([OrderRequest(0, 1, 5.0, 1, 0)], 0)
         drivers = DriverBatch([0, 1], [0, 0], 0)
         with pytest.raises(ConstraintViolation, match="order"):
             apply_matching(drivers, orders, [0, 0], 0.9, self.world)
@@ -251,12 +245,10 @@ class TestRunDay:
         assert len(tuples) == world.horizon
         assert_all_idle(tuples)
 
-    def test_single_forced_match(self):
+    def test_single_forced_match(self, monkeypatch):
         world = GridWorld(2, 6, np.ones((2, 2)))
-        scripted = {1: [OrderRequest(0, 1, 8.0, 2, 1)]}
-        model = flat_model(
-            world, 0.0, driver_counts=np.array([1, 0]), scripted_orders=scripted
-        )
+        script_orders(monkeypatch, {1: [OrderRequest(0, 1, 8.0, 2, 1)]})
+        model = flat_model(world, 0.0, driver_counts=np.array([1, 0]))
         tuples, metrics = run_day(world, model, greedy_for(world, 0.9), 0.9, seed=0)
         assert metrics.orders_created == 1
         assert metrics.orders_answered == 1
@@ -274,7 +266,7 @@ class TestRunDay:
         assert covered >= 3 * world.horizon - 3 * int(tuples.duration.max())
         assert np.all(tuples.finish_t <= world.horizon)
 
-    def test_myopic_policy_is_suboptimal_on_trap_day(self):
+    def test_myopic_policy_is_suboptimal_on_trap_day(self, monkeypatch):
         # Serving the cheap order strands the driver away from tomorrow's
         # big order; idling first is strictly better. Verified by enumerating
         # both one-step choices.
@@ -282,10 +274,8 @@ class TestRunDay:
         world = GridWorld(2, 4, travel)
         cheap = OrderRequest(0, 1, 1.0, 1, 0)
         big = OrderRequest(0, 0, 10.0, 1, 1)
-        scripted = {0: [cheap], 1: [big]}
-        model = flat_model(
-            world, 0.0, driver_counts=np.array([1, 0]), scripted_orders=scripted
-        )
+        script_orders(monkeypatch, {0: [cheap], 1: [big]})
+        model = flat_model(world, 0.0, driver_counts=np.array([1, 0]))
         _, greedy_metrics = run_day(world, model, greedy_for(world, 1.0), 1.0, seed=0)
 
         def farsighted(drivers, orders, t):
@@ -307,22 +297,37 @@ class TestRunDay:
         assert greedy_metrics.reward == pytest.approx(1.0)
         assert patient_metrics.reward == pytest.approx(10.0)
 
-    def test_cancellation_idles_driver_but_counts_answered(self):
+    def test_cancellation_idles_driver_but_counts_answered(self, monkeypatch):
         # pickup of 2 windows with cancellation 0.5 -> order always cancelled
         world = GridWorld(2, 6, np.full((2, 2), 2))
-        scripted = {0: [OrderRequest(1, 0, 9.0, 1, 0)]}
-        model = flat_model(
-            world,
-            0.0,
-            driver_counts=np.array([1, 0]),
-            scripted_orders=scripted,
-            cancellation=0.5,
-        )
+        script_orders(monkeypatch, {0: [OrderRequest(1, 0, 9.0, 1, 0)]})
+        model = flat_model(world, 0.0, driver_counts=np.array([1, 0]), cancellation=0.5)
         tuples, metrics = run_day(world, model, greedy_for(world, 0.9), 0.9, seed=0)
         assert metrics.orders_answered == 1
         assert metrics.orders_completed == 0
         assert metrics.reward == 0.0
         assert_all_idle(tuples)
+
+    def test_rejects_assignment_naming_no_order(self):
+        # run_day checks the policy's assignment before it reads any entry
+        world = GridWorld(2, 6, np.ones((2, 2)))
+        model = flat_model(world, 2.0, driver_counts=np.array([1, 1]))
+
+        def past_the_orders(drivers, orders, t):
+            return [len(orders)] + [None] * (len(drivers) - 1)
+
+        with pytest.raises(ConstraintViolation, match="neither one of"):
+            run_day(world, model, past_the_orders, 0.9, seed=0)
+
+    def test_rejects_assignment_longer_than_the_drivers(self):
+        world = GridWorld(2, 6, np.ones((2, 2)))
+        model = flat_model(world, 2.0, driver_counts=np.array([1, 1]))
+
+        def extra_entry_serves(drivers, orders, t):
+            return [None] * len(drivers) + [0]
+
+        with pytest.raises(ConstraintViolation, match="3 entries for 2 drivers"):
+            run_day(world, model, extra_entry_serves, 0.9, seed=0)
 
     def test_common_random_numbers_across_policies(self):
         world = GridWorld.lattice(2, 2, 10)

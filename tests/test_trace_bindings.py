@@ -1,11 +1,17 @@
-"""The benchmark's traced run still sees every layer it times.
+"""The benchmark's traced run still sees every layer it times, and its
+modules still import.
 
 `perfbench/layers.py` wraps each layer function at the binding its caller
 looks up. A refactor that moves a call to another binding drops that layer
 out of the trace without an error; this test makes it fail here instead.
+pytest collects only `tests/`, so a name that `perfbench/` imports and a
+refactor drops would otherwise fail only in the benchmark.
 """
+import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from dispatchlab import gpi
 
@@ -58,3 +64,20 @@ def test_every_layer_records_calls():
     assert calls["gpi.evaluate_policy_value"] == passes
     assert calls["transfer.transfer_evaluate"] == passes
     assert calls["transfer.solve_time_step"] == passes * sc.horizon
+
+
+@pytest.mark.parametrize("name", ["test_checks", "workloads"])
+def test_benchmark_modules_import(name):
+    # the module imports its neighbours (checks, tracer) from perfbench/, and
+    # test_checks.py puts src/ on the path itself: both are undone afterwards.
+    # Its dataclasses need it in sys.modules while it runs.
+    key = f"perfbench_{name}"
+    spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+    saved = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    sys.modules[key] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(sys.modules[key])
+    finally:
+        sys.path[:] = saved
+        del sys.modules[key]

@@ -12,7 +12,6 @@ from dispatchlab import (
     OptimizerSettings,
     OrderRequest,
     State,
-    TransitionTuple,
     ValueTable,
     concordance_loss,
     concordance_rate_report,
@@ -23,7 +22,6 @@ from dispatchlab import (
     penalized_objective,
     prepare_source,
     solve_time_step,
-    td_evaluate,
     transfer_evaluate,
 )
 from dispatchlab import transfer
@@ -33,6 +31,7 @@ from dispatchlab.valuation import TupleArrays
 
 import reference_hinge_qp
 from conftest import grid_search_oracle, make_world, qp_reference, random_buffer
+from reference_objects import TransitionTuple, td_evaluate
 
 
 def table_from_rows(rows, gamma=0.9):
@@ -406,7 +405,7 @@ class TestTransferEvaluate:
     def test_lambda_zero_matches_dp(self):
         world = make_world(5, 8)
         rng = np.random.default_rng(21)
-        tuples = random_buffer(rng, world, 300)
+        tuples = TupleArrays.from_tuples(random_buffer(rng, world, 300))
         v_src = ValueTable.zeros(world.horizon, world.n_cells, 0.9)
         spec = ConcordanceSpec(pairs=[(0, 1)], lam=0.0)
         opt = OptimizerSettings(max_iters=4000, tol=1e-16)
@@ -425,7 +424,7 @@ class TestTransferEvaluate:
     def test_penalty_never_hurts_concordance(self):
         world = make_world(6, 10)
         rng = np.random.default_rng(30)
-        tuples = random_buffer(rng, world, 150)
+        tuples = TupleArrays.from_tuples(random_buffer(rng, world, 150))
         src = np.tile(np.linspace(6, 1, 6), (world.horizon, 1))
         v_src = ValueTable(np.vstack([src, np.zeros(6)]), 0.9)
         spec = ConcordanceSpec(pairs=all_pairs(6), lam=3.0, margin=1.0)
@@ -447,7 +446,7 @@ class TestTransferEvaluate:
         # a 2 x 3 world with horizon 5: the table has shape (6, 6)
         world = make_world(6, 5)
         v_src = ValueTable.zeros(5, 6, 0.9)
-        tuples = [TransitionTuple(State(0, 5), None, 1.0, State(1, 5), 1)]
+        tuples = TupleArrays.from_tuples([TransitionTuple(State(0, 5), None, 1.0, State(1, 5), 1)])
         with pytest.raises(ValueError, match="init table shape"):
             transfer_evaluate(
                 tuples, v_src, ConcordanceSpec(pairs=[(0, 1)]), world, 0.9,
@@ -457,7 +456,7 @@ class TestTransferEvaluate:
     def test_rejects_tuple_that_does_not_advance(self):
         world = make_world(6, 5)
         v_src = ValueTable.zeros(5, 6, 0.9)
-        bad = [TransitionTuple(State(2, 0), None, 1.0, State(2, 0), 1)]
+        bad = TupleArrays.from_tuples([TransitionTuple(State(2, 0), None, 1.0, State(2, 0), 1)])
         with pytest.raises(ValueError, match="finish.t"):
             transfer_evaluate(bad, v_src, ConcordanceSpec(pairs=[(0, 1)]), world, 0.9)
 

