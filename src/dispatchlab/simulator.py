@@ -216,12 +216,18 @@ def generate_window(
 
 def as_order_index(assignment: Sequence[Optional[int]], m: int, n: int) -> np.ndarray:
     """The km_match assignment form for m drivers and n orders as an int64
-    array, -1 for idle. Another length, or an entry that is neither -1 nor
-    an order, raises ConstraintViolation."""
+    array, -1 for idle. Another length, an entry that is not an integer
+    (a float or a bool), or one that is neither -1 nor an order, raises
+    ConstraintViolation."""
     if isinstance(assignment, np.ndarray):
-        k = assignment.astype(np.int64)
+        k, kinds = assignment, {assignment.dtype.type}
     else:
-        k = np.array([-1 if x is None else x for x in assignment], dtype=np.int64)
+        k = [-1 if x is None else x for x in assignment]
+        kinds = set(map(type, k))
+    bad = [t for t in kinds if t is bool or not issubclass(t, (int, np.integer))]
+    if bad and len(k):
+        raise ConstraintViolation(f"assignment entry of type {bad[0].__name__} is not an order")
+    k = np.array(k, dtype=np.int64)  # a copy: run_day writes cancelled entries into it
     if k.shape != (m,):
         raise ConstraintViolation(f"assignment has {len(k)} entries for {m} drivers")
     if m and (k.min() < -1 or k.max() >= n):

@@ -203,11 +203,16 @@ def solve_time_step(
         min  sum_c n_c (v_c - mean_c)^2 + lambda * sum_p xi_p
         s.t. xi_p >= margin - s_p (v_j - v_i),  xi_p >= 0
 
-    by `_hinge_qp`. Tie-break: a coupled cell without data is not pinned by
+    by `_hinge_qp`, unless the closed form of every cell (the target mean, or
+    the warm start without data) already meets every pair's margin: then it
+    is the exact minimizer and is returned with `iterations` 0 and `gap` 0.
+    Tie-break: a coupled cell without data is not pinned by
     the objective, so it gets a pull TIE_BREAK_RHO * (v_c - warm_c)^2 toward
     its warm start. The minimizer is then unique: among the optimal slices,
     the one closest to the warm start. Such a cell is only as accurate as the
-    gap allows (about gap / TIE_BREAK_RHO), so a loose `tol` lets it drift.
+    gap allows: the pull has curvature 2 TIE_BREAK_RHO, so an absolute gap g
+    certifies it to within sqrt(g / TIE_BREAK_RHO), and a loose `tol` lets
+    it drift.
 
     The solve stops when the relative duality gap is at most
     max(opt.tol, GAP_FLOOR), when STALL_ITERS iterations in a row no longer
@@ -230,14 +235,19 @@ def solve_time_step(
     resid = v[cells] - targets
     const = float(np.dot(resid, resid))  # objective at the per-cell means
     pi, pj, s = spec.ordered_pairs(v_src_t)
-    if spec.lam == 0 or len(s) == 0:
-        # a decoupled quadratic; the closed form is its exact minimizer
+    if spec.lam == 0 or not np.any(s * (v[pj] - v[pi]) < spec.margin):
+        # every hinge term is >= 0 and vanishes at the closed form, where the
+        # quadratic is least and the cells without data sit at their warm
+        # start: it is the exact, tie-broken minimizer
         return SolveResult(v, const, np.array([f_warm, const]), 0, 0.0)
 
-    coupled, local = np.unique(np.concatenate([pi, pj]), return_inverse=True)
+    in_pair = np.zeros(n, dtype=bool)
+    in_pair[pi] = in_pair[pj] = True
+    coupled = np.flatnonzero(in_pair)
+    local = np.cumsum(in_pair) - 1  # a coupled cell's position in `coupled`
     weight = np.where(covered[coupled], counts[coupled], TIE_BREAK_RHO)
     x, qp_obj, dual, objs, iters = _hinge_qp(
-        local[: len(s)], local[len(s):], s, weight, v[coupled], spec.lam, spec.margin, opt
+        local[pi], local[pj], s, weight, v[coupled], spec.lam, spec.margin, opt
     )
     trace = np.minimum.accumulate(np.array([f_warm] + [const + o for o in objs]))
     if f_warm <= const + qp_obj:
@@ -249,13 +259,13 @@ def solve_time_step(
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest step in (0, 1] that keeps x + step * dx nonnegative.
+    """Largest step in (0, 1] that keeps x + step * dx nonnegative, for x > 0.
 
-    -max(x / dx) over dx < 0 equals min(-x / dx) there bit for bit (IEEE
-    division is exact up to sign), without gathering the negative entries.
-    Divisions by zero are masked out; the caller silences their warnings.
+    It is min(1, -x / dx over dx < 0) = -1 / min(-1, dx / x), to within one
+    rounding, with one division and one reduction and no mask. The iterates
+    keep x > 0, since each step goes at most 0.99 of the way to the boundary.
     """
-    return -float(np.maximum.reduce(x / dx, where=dx < 0, initial=-1.0))
+    return -1.0 / min(-1.0, float((dx / x).min()))
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # entered once per solve, for _max_step
@@ -304,8 +314,13 @@ def _hinge_qp(
     x = a
     Ax = A @ x
     xi = np.maximum(margin - Ax, 0.0) + margin
-    # the state: slacks X = (w, xi) and their multipliers Y = (y, z)
-    state = np.concatenate([Ax + xi - margin, xi, np.full(2 * p, lam / 2.0)])
+    # the state: slacks X = (w, xi) and their multipliers Y = (y, z). The
+    # multipliers start on the slack side, y + z = lam with y small: at the
+    # optimum most pairs are slack (y = 0), and pairs between cells without
+    # data carry multipliers of order TIE_BREAK_RHO.
+    state = np.concatenate(
+        [Ax + xi - margin, xi, np.full(p, 0.1 * lam), np.full(p, 0.9 * lam)]
+    )
     X, Y = state[: 2 * p], state[2 * p :]
     w, xi = X[:p], X[p:]
     y, z = Y[:p], Y[p:]
@@ -333,9 +348,12 @@ def _hinge_qp(
             # rc is the complementarity residual X * Y - target
             rhs = base + rc[p:] / z - rc[:p] / y
             dx = dpotrs(factor, At @ (rhs * inv_theta) - r_dual)[0]
-            dy = (rhs - A @ dx) * inv_theta
-            dY = np.concatenate([dy, r_box - dy])
-            return dx, np.concatenate([-(rc + X * dY) / Y, dY])
+            dstate = np.empty(4 * p)
+            dX, dY = dstate[: 2 * p], dstate[2 * p :]
+            np.multiply(rhs - A @ dx, inv_theta, out=dY[:p])
+            np.subtract(r_box, dY[:p], out=dY[p:])
+            np.divide(-(rc + X * dY), Y, out=dX)
+            return dx, dstate
 
         dx, dstate = newton(XY)
         step = _max_step(state, dstate)

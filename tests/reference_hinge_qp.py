@@ -1,8 +1,9 @@
 """The slice solver's interior-point kernel as written before its per-call trimming.
 
 `hinge_qp` is the Mehrotra predictor-corrector that `dispatchlab.transfer`
-used to solve each slice's coupled-cell QP, kept as written: a masked gather
-per step length, `np.mean`, `np.tile` times a sign vector and `np.clip`.
+used to solve each slice's coupled-cell QP, kept as written: `np.mean`,
+`np.tile` times a sign vector, `np.clip` and two concatenates per Newton
+step. Its step length and starting multipliers follow the current kernel.
 `dispatchlab.transfer._hinge_qp` must perform the same floating-point
 operations, so for equal inputs both return the same iterates, objectives,
 dual bound and iteration count, bit for bit.
@@ -19,9 +20,8 @@ from dispatchlab.transfer import GAP_FLOOR, STALL_ITERS, OptimizerSettings
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest step in (0, 1] that keeps x + step * dx nonnegative."""
-    neg = dx < 0
-    return float(np.min(-x[neg] / dx[neg], initial=1.0))
+    """Largest step in (0, 1] that keeps x + step * dx nonnegative, for x > 0."""
+    return -1.0 / min(-1.0, float((dx / x).min()))
 
 
 def hinge_qp(
@@ -64,7 +64,9 @@ def hinge_qp(
     Ax = A @ x
     xi = np.maximum(margin - Ax, 0.0) + margin
     # the state: slacks X = (w, xi) and their multipliers Y = (y, z)
-    state = np.concatenate([Ax + xi - margin, xi, np.full(2 * p, lam / 2.0)])
+    state = np.concatenate(
+        [Ax + xi - margin, xi, np.full(p, 0.1 * lam), np.full(p, 0.9 * lam)]
+    )
     best_x, best_g, dual, best_gap = x, math.inf, -math.inf, math.inf
     objs: List[float] = []
     iters = stalls = 0

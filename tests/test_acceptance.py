@@ -245,21 +245,24 @@ GAMMA = 0.9
 
 @pytest.fixture(scope="module")
 def experiment_grid():
+    """Per-policy (seed, day) rewards, the grid's runtime with its source
+    preparation, and each seed's source data, which criterion 8 reuses."""
     sc = default_scenario()
     kinds = list(PolicyKind)
     rewards = {kind: [] for kind in kinds}
+    sources = []
     start = time.perf_counter()
     for seed in range(N_SEEDS):
-        source = prepare_source(sc, GAMMA, seed)
+        sources.append(prepare_source(sc, GAMMA, seed))
         for kind in kinds:
-            rows = run_experiment(sc, kind, DAYS, GAMMA, seed, source=source)
+            rows = run_experiment(sc, kind, DAYS, GAMMA, seed, source=sources[-1])
             rewards[kind].append([row.reward for row in rows])
     elapsed = time.perf_counter() - start
-    return {kind: np.array(days) for kind, days in rewards.items()}, elapsed
+    return {kind: np.array(days) for kind, days in rewards.items()}, elapsed, sources
 
 
 def test_criterion_7a_jumpstart(experiment_grid):
-    rewards, _ = experiment_grid
+    rewards, _, _ = experiment_grid
     pt = rewards[PolicyKind.PATTERN_TRANSFER][:, 0]
     to = rewards[PolicyKind.TARGET_ONLY][:, 0]
     wins = int(np.sum(pt > to))
@@ -273,7 +276,7 @@ def test_criterion_7a_jumpstart(experiment_grid):
 
 
 def test_criterion_7b_early_days(experiment_grid):
-    rewards, _ = experiment_grid
+    rewards, _, _ = experiment_grid
     pt = float(rewards[PolicyKind.PATTERN_TRANSFER][:, :5].mean())
     to = float(rewards[PolicyKind.TARGET_ONLY][:, :5].mean())
     record(
@@ -284,7 +287,7 @@ def test_criterion_7b_early_days(experiment_grid):
 
 
 def test_criterion_7c_final_day_ordering(experiment_grid):
-    rewards, elapsed = experiment_grid
+    rewards, elapsed, _ = experiment_grid
     final = {kind: float(days[:, -1].mean()) for kind, days in rewards.items()}
     pt = final[PolicyKind.PATTERN_TRANSFER]
     greedy = final[PolicyKind.GREEDY]
@@ -310,11 +313,11 @@ def _iters_to_95(rows):
     return rows[-1].iteration
 
 
-def test_criterion_8_repeated_day_convergence():
+def test_criterion_8_repeated_day_convergence(experiment_grid):
+    _, _, sources = experiment_grid
     sc = default_scenario()
     wins = 0
-    for seed in range(N_SEEDS):
-        source = prepare_source(sc, GAMMA, seed)
+    for seed, source in enumerate(sources):
         pt = repeat_single_day(sc, PolicyKind.PATTERN_TRANSFER, 5, GAMMA, seed, source=source)
         to = repeat_single_day(sc, PolicyKind.TARGET_ONLY, 5, GAMMA, seed, source=source)
         if _iters_to_95(pt) <= _iters_to_95(to):

@@ -18,7 +18,7 @@ from dispatchlab import (
     run_day,
     transfer_evaluate,
 )
-from dispatchlab.simulator import DayStreams, window_rng
+from dispatchlab.simulator import DayStreams, as_order_index, window_rng
 from dispatchlab.valuation import as_arrays, is_idle
 
 from conftest import assert_same_part, assert_tuple_dtypes
@@ -329,6 +329,16 @@ class TestRunDay:
         with pytest.raises(ConstraintViolation, match="3 entries for 2 drivers"):
             run_day(world, model, extra_entry_serves, 0.9, seed=0)
 
+    def test_rejects_a_float_entry_from_the_policy(self):
+        world = GridWorld(2, 6, np.ones((2, 2)))
+        model = flat_model(world, 2.0, driver_counts=np.array([1, 1]))
+
+        def fractional(drivers, orders, t):
+            return [0.7] + [None] * (len(drivers) - 1)
+
+        with pytest.raises(ConstraintViolation, match="type float is not an order"):
+            run_day(world, model, fractional, 0.9, seed=0)
+
     def test_common_random_numbers_across_policies(self):
         world = GridWorld.lattice(2, 2, 10)
         model = flat_model(world, 1.0, driver_counts=np.array([1, 1, 1, 1]))
@@ -393,3 +403,29 @@ class TestRunDay:
         t2, m2 = run_day(world, model, greedy_for(world, 0.9), 0.9, seed=9)
         assert m1.reward == m2.reward
         assert same_columns(t1, t2, TUPLE_COLUMNS)
+
+
+class TestAsOrderIndex:
+    @pytest.mark.parametrize(
+        "assignment, kind",
+        [([0.7, None], "float"), (np.array([1.9, -1.0]), "float64"), ([True, None], "bool"),
+         ([np.True_, None], "bool"), (np.array([True, False]), "bool")],
+    )
+    def test_rejects_entry_that_is_not_an_integer(self, assignment, kind):
+        # these used to be cast to int64 and served orders 0 or 1
+        with pytest.raises(ConstraintViolation, match=f"type {kind} is not an order"):
+            as_order_index(assignment, 2, 3)
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [[2, None], [np.int64(2), -1], np.array([2, -1], dtype=np.int32), np.array([2, -1])],
+    )
+    def test_integer_entries_and_idle_drivers(self, assignment):
+        k = as_order_index(assignment, 2, 3)
+        assert k.dtype == np.int64 and k is not assignment  # run_day writes into k
+        np.testing.assert_array_equal(k, [2, -1])
+
+    @pytest.mark.parametrize("empty", [[], np.array([]), np.array([], dtype=np.int64)])
+    def test_empty_assignment_for_no_drivers(self, empty):
+        k = as_order_index(empty, 0, 3)
+        assert k.dtype == np.int64 and k.shape == (0,)

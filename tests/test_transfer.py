@@ -50,6 +50,28 @@ def all_pairs(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def closed_form(cells, targets, warm):
+    """Each cell's target mean, or its warm start when it has no data."""
+    counts = np.bincount(cells, minlength=len(warm))
+    sums = np.bincount(cells, weights=targets, minlength=len(warm))
+    return np.where(counts > 0, sums / np.maximum(counts, 1), warm)
+
+
+def qp_to_rounding_floor(cells, targets, v_src_t, spec, warm):
+    """The slice's tie-broken coupled-cell QP run by `_hinge_qp` at tol 0, with
+    no closed-form exit; the coupled cells come from np.unique."""
+    v = closed_form(cells, targets, warm)
+    counts = np.bincount(cells, minlength=len(warm))
+    pi, pj, s = spec.ordered_pairs(v_src_t)
+    coupled, local = np.unique(np.concatenate([pi, pj]), return_inverse=True)
+    weight = np.where(counts[coupled] > 0, counts[coupled], transfer.TIE_BREAK_RHO)
+    opt = OptimizerSettings(max_iters=500, tol=0.0)
+    v[coupled] = transfer._hinge_qp(
+        local[: len(s)], local[len(s):], s, weight, v[coupled], spec.lam, spec.margin, opt
+    )[0]
+    return v
+
+
 class TestConcordanceSpec:
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError, match="self-pair"):
@@ -370,8 +392,27 @@ class TestInteriorPoint:
         res = solve_time_step(
             cells, targets, np.array([0.0, 1.0, 0.5]), spec, OptimizerSettings(tol=1e-12), warm
         )
-        assert res.iterations > 0
+        # the closed form meets both margins, so the solve exits without the QP
+        assert (res.iterations, res.gap) == (0, 0.0)
         np.testing.assert_allclose(res.values, [1.5, 9.0, 3.0], atol=1e-6)
+
+    def test_tie_break_keeps_warm_start_on_cell_without_data_while_qp_runs(self):
+        # pair (0, 2) is violated at the target means (0 and 0), so the QP
+        # runs and moves cells 0 and 2 apart by lam / (2 n_c) each; cell 1 has
+        # no data and its pair with cell 0 stays met, so it keeps its warm start
+        spec = ConcordanceSpec(pairs=[(0, 1), (0, 2)], lam=1.0, margin=1.0)
+        cells = np.array([0, 0, 2, 2])
+        targets = np.array([-1.0, 1.0, -1.0, 1.0])
+        warm = np.array([3.0, 10.0, 3.0])
+        res = solve_time_step(
+            cells, targets, np.array([1.0, 2.0, 0.0]), spec, OptimizerSettings(tol=0.0), warm
+        )
+        assert res.iterations > 0
+        np.testing.assert_allclose(res.values[[0, 2]], [0.25, -0.25], atol=1e-9)
+        # only the TIE_BREAK_RHO pull holds cell 1, with curvature 2 rho, so a
+        # gap g certifies it to within sqrt(g / rho) of its warm start
+        drift = math.sqrt(res.gap * max(1.0, res.best_objective) / transfer.TIE_BREAK_RHO)
+        assert abs(res.values[1] - 10.0) <= drift < 1e-3
 
     def test_optimal_warm_start_is_returned_unchanged(self):
         # cell 0 sits at its target mean and the pair is met: nothing to improve
@@ -381,9 +422,53 @@ class TestInteriorPoint:
             np.array([0, 0]), np.array([1.0, 3.0]), np.array([0.0, 1.0]), spec,
             OptimizerSettings(), warm,
         )
-        assert res.iterations > 0
+        assert (res.iterations, res.gap) == (0, 0.0)
         np.testing.assert_array_equal(res.values, warm)
         assert res.best_objective == 2.0
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_hinge_free_closed_form_exits_at_the_qp_optimum(self, seed):
+        # the source ranks every pair as the closed form does, by at least the
+        # margin, so no hinge is positive there
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        cells = rng.integers(0, n, size=int(rng.integers(0, 15)))
+        targets = rng.normal(scale=3.0, size=len(cells))
+        warm = rng.normal(scale=3.0, size=n)
+        closed = closed_form(cells, targets, warm)
+        v_src_t = float(rng.uniform(0.1, 5.0)) * closed + float(rng.normal())
+        diffs = np.abs(np.subtract.outer(closed, closed))
+        margin = 0.5 * diffs[diffs > 0].min() if np.any(diffs > 0) else 1.0
+        spec = ConcordanceSpec(
+            pairs=all_pairs(n), lam=float(rng.uniform(0.1, 3.0)), margin=float(margin)
+        )
+        opt = OptimizerSettings(tol=float(rng.choice([0.0, 1e-9, 1e-5])))
+        res = solve_time_step(cells, targets, v_src_t, spec, opt, warm)
+        assert (res.iterations, res.gap) == (0, 0.0)
+        np.testing.assert_array_equal(res.values, closed)
+        assert res.best_objective == penalized_objective(closed, cells, targets, v_src_t, spec)
+        # the QP agrees on the cells with data; it holds the cells without
+        # data only to about sqrt(gap / TIE_BREAK_RHO), so there it is
+        # compared by objective
+        qp = qp_to_rounding_floor(cells, targets, v_src_t, spec, warm)
+        data = np.bincount(cells, minlength=n) > 0
+        np.testing.assert_allclose(res.values[data], qp[data], rtol=0, atol=1e-9)
+        f_qp = penalized_objective(qp, cells, targets, v_src_t, spec)
+        assert res.best_objective <= f_qp + 1e-12 * max(1.0, f_qp)
+
+    def test_one_violated_pair_runs_the_qp(self):
+        # the same slice as a hinge-free one, except that the source flips pair (0, 1)
+        spec = ConcordanceSpec(pairs=[(0, 1), (1, 2)], lam=1.0, margin=1.0)
+        cells = np.array([0, 1, 2])
+        targets = np.array([0.0, 2.0, 4.0])
+        agrees, flipped = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 2.0])
+        assert solve_time_step(cells, targets, agrees, spec, OptimizerSettings()).iterations == 0
+        res = solve_time_step(cells, targets, flipped, spec, OptimizerSettings())
+        assert res.iterations > 0
+        assert res.gap <= 1e-10
+        qp = qp_to_rounding_floor(cells, targets, flipped, spec, np.zeros(3))
+        np.testing.assert_allclose(res.values, qp, atol=1e-8)
 
     def test_certified_gap_on_random_slices(self):
         rng = np.random.default_rng(13)
