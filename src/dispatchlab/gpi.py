@@ -11,7 +11,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dispatch import advantage_transform, build_problem, km_match
+# advantage_transform is unused here: perfbench/layers.py times it through this binding
+from .dispatch import advantage_transform, build_problem, km_match  # noqa: F401
 from .scenario import Scenario
 from .simulator import DayMetrics, Policy, run_day
 from .transfer import ConcordanceSpec, OptimizerSettings, transfer_evaluate
@@ -101,18 +102,17 @@ def evaluate_policy_value(
 def value_dispatch_policy(
     value: ValueTable, gamma: float, world: GridWorld, radius: Optional[int]
 ) -> Policy:
-    """Collectively greedy dispatch w.r.t. a value table (advantage + exact matching)."""
+    """Collectively greedy dispatch w.r.t. a value table: exact matching on Q-scores."""
 
     def policy(drivers, orders, t):
-        problem = advantage_transform(build_problem(drivers, orders, value, gamma, world, radius))
-        return km_match(problem).assignment
+        return km_match(build_problem(drivers, orders, value, gamma, world, radius)).assignment
 
     return policy
 
 
-def myopic_policy(gamma: float, world: GridWorld, horizon: int, radius: Optional[int]) -> Policy:
+def myopic_policy(gamma: float, world: GridWorld, radius: Optional[int]) -> Policy:
     """Exact matching on instant discounted rewards: the value policy of an all-zero table."""
-    zero = ValueTable.zeros(horizon, world.n_cells, gamma)
+    zero = ValueTable.zeros(world.horizon, world.n_cells, gamma)
     return value_dispatch_policy(zero, gamma, world, radius)
 
 
@@ -133,7 +133,7 @@ def prepare_source(scenario: Scenario, gamma: float, seed: int) -> SourceData:
     """
     world = scenario.build_world()
     model = scenario.build_source_model()
-    policy = myopic_policy(gamma, world, world.horizon, scenario.pickup_radius)
+    policy = myopic_policy(gamma, world, scenario.pickup_radius)
     days = []
     for day in range(scenario.source_days):
         tuples, _ = run_day(

@@ -288,8 +288,14 @@ def run_day(
     its driver idling for the window and earns nothing, but still counts as
     answered. Order k is cancelled when the k-th of the window's
     `random(max(1, n_orders))` draws on RNG stream 1 is not below its
-    completion probability.
+    completion probability. A model whose rates are not (world.horizon,
+    world.n_cells) raises ValueError.
     """
+    if model.rates.shape != (world.horizon, world.n_cells):
+        raise ValueError(
+            f"demand model rates have shape {model.rates.shape}, "
+            f"the world needs ({world.horizon}, {world.n_cells})"
+        )
     pool = DriverPool(model.driver_counts)
     streams = DayStreams(seed, phase, day, world.horizon)
     metrics = DayMetrics()

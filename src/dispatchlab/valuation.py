@@ -119,14 +119,18 @@ class ValueTable:
         t, cell, value = (np.array(col) for col in zip(*rows))
         if min(t.min(), cell.min()) < 0:
             raise ValueError("value table has a negative t or cell")
-        listed = np.zeros((t.max() + 1, cell.max() + 1), dtype=np.int64)
-        np.add.at(listed, (t, cell), 1)
-        if np.any(listed != 1):
+        # counted without a dense array: the extents come from the file, and a
+        # stray index of 10**15 must not allocate before it is rejected
+        shape = (int(t.max()) + 1, int(cell.max()) + 1)
+        _, counts = np.unique(np.stack([t, cell], axis=1), axis=0, return_counts=True)
+        missing = shape[0] * shape[1] - len(counts)
+        repeated = np.count_nonzero(counts > 1)
+        if missing or repeated:
             raise ValueError(
-                f"value table of shape {listed.shape} must list each (t, cell) once: "
-                f"{np.count_nonzero(listed == 0)} missing, {np.count_nonzero(listed > 1)} repeated"
+                f"value table of shape {shape} must list each (t, cell) once: "
+                f"{missing} missing, {repeated} repeated"
             )
-        values = np.zeros(listed.shape)
+        values = np.zeros(shape)
         values[t, cell] = value
         return cls(values, gamma)
 
@@ -153,18 +157,6 @@ def _column(values, name: str, rows: int) -> np.ndarray:
     return column.astype(INDEX_DTYPE)
 
 
-def is_idle(start_t, start_cell, finish_t, finish_cell, reward, duration) -> np.ndarray:
-    """Which rows are idle transitions, bit for bit: from (t, cell) to
-    (t + 1, cell) with reward +0.0 (never -0.0) and duration 1."""
-    reward = np.asarray(reward, dtype=float)
-    return (
-        (finish_t == start_t + 1)
-        & (finish_cell == start_cell)
-        & (duration == 1)
-        & (reward.view(np.int64) == 0)
-    )
-
-
 # the columns of a TupleArrays, in constructor order
 COLUMNS = ("start_t", "start_cell", "finish_t", "finish_cell", "reward", "duration")
 
@@ -177,16 +169,16 @@ def _joined(pieces: List[np.ndarray]) -> np.ndarray:
 class TupleArrays:
     """Columnar copy of a transition buffer, stably sorted by start time.
 
-    Most rows of a simulated day are idle transitions (see `is_idle`), whose
-    finish, reward and duration follow from the row's start. So every row
-    stores only its INDEX_DTYPE `start_cell`, and each row kept in full also
-    has a row of `full`, in row order: a C-contiguous INDEX_DTYPE block whose
-    columns are the row's position among the rows of its start time, its
-    `finish_t`, `finish_cell` and `duration`, with its float64 reward in
-    `full_reward`. An idle row costs 4 bytes, a full one 28. The sorting
-    constructor keeps a row in full unless it is an idle transition;
-    `window` may also be given idle transitions to keep in full, which
-    changes no column.
+    Most rows of a simulated day are idle transitions, from (t, cell) to
+    (t + 1, cell) with reward 0.0 and duration 1, whose finish, reward and
+    duration follow from the row's start. So every row stores only its
+    INDEX_DTYPE `start_cell`, and each row kept in full also has a row of
+    `full`, in row order: a C-contiguous INDEX_DTYPE block whose columns are
+    the row's position among the rows of its start time, its `finish_t`,
+    `finish_cell` and `duration`, with its float64 reward in `full_reward`.
+    An idle row costs 4 bytes, a full one 28. Only `window` leaves rows out
+    of `full`, those the simulator knows are idle; the sorting constructor
+    keeps every row in full.
 
     Start times are kept per time, not per row: `_times` lists the start
     times that have rows, ascending; rows `_bounds[i]` to `_bounds[i + 1]`
@@ -218,21 +210,16 @@ class TupleArrays:
         # the first row of each start time, and how many rows start then
         firsts = np.flatnonzero(np.diff(sorted_t, prepend=-1))
         counts = np.diff(firsts, append=rows)
-        keep = (~is_idle(start_t, start_cell, finish_t, finish_cell, reward, duration))[order]
-        kept = np.flatnonzero(keep)
-        source = order[kept]
-        # each full row's position among the rows of its start time, then its fields
-        position = kept - np.repeat(firsts, counts)[kept]
-        full = np.empty((len(kept), 4), INDEX_DTYPE)
-        full.T[:] = position, finish_t[source], finish_cell[source], duration[source]
-        self._set(
-            sorted_t[firsts].tolist(),
-            counts.tolist(),
-            np.diff(np.searchsorted(kept, firsts), append=len(kept)).tolist(),
-            start_cell[order],
-            full,
-            reward[source],
+        # each row's position among the rows of its start time, then its fields
+        full = np.empty((rows, 4), INDEX_DTYPE)
+        full.T[:] = (
+            np.arange(rows) - np.repeat(firsts, counts),
+            finish_t[order],
+            finish_cell[order],
+            duration[order],
         )
+        counts = counts.tolist()
+        self._set(sorted_t[firsts].tolist(), counts, counts, start_cell[order], full, reward[order])
 
     def _set(self, times, counts, kept, start_cell, full, full_reward) -> "TupleArrays":
         """Take the columns as they are: the first `counts[0]` rows start at

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dispatchlab import DriverBatch, GridWorld, OrderRequest, State
+from dispatchlab import DriverBatch, GridWorld, OrderRequest, State, TupleArrays
 from dispatchlab.valuation import discount_table
 
 from reference_objects import TransitionTuple
@@ -105,6 +105,44 @@ class FullPart:
         discount = discount_table(gamma, int(duration.max()) + 1).take(duration)
         targets = discount * values[self.finish_t[sl], self.finish_cell[sl]] + self.reward[sl]
         return self.start_cell[sl].astype(np.intp), targets
+
+
+def idle_rows(start_t, start_cell, finish_t, finish_cell, reward, duration):
+    """Which rows are idle transitions, bit for bit: from (t, cell) to
+    (t + 1, cell) with reward +0.0 (never -0.0) and duration 1."""
+    reward = np.asarray(reward, dtype=np.float64)
+    return (
+        (np.asarray(finish_t) == np.asarray(start_t) + 1)
+        & (np.asarray(finish_cell) == np.asarray(start_cell))
+        & (np.asarray(duration) == 1)
+        & (reward.view(np.int64) == 0)
+    )
+
+
+def compact_part(start_t, start_cell, finish_t, finish_cell, reward, duration):
+    """The rows, stably sorted by start time, as one `TupleArrays.window` per
+    start time joined: the compact form of a simulated day, where only the
+    rows that are not `idle_rows` are kept in full."""
+    cols = [np.asarray(c) for c in (start_t, start_cell, finish_t, finish_cell, reward, duration)]
+    order = np.argsort(cols[0], kind="stable")
+    start_t, start_cell, finish_t, finish_cell, reward, duration = (c[order] for c in cols)
+    full = ~idle_rows(start_t, start_cell, finish_t, finish_cell, reward, duration)
+    windows = []
+    for t in np.unique(start_t).tolist():
+        at = start_t == t
+        rows = np.flatnonzero(full[at])
+        windows.append(
+            TupleArrays.window(
+                t,
+                start_cell[at].astype(np.int32),
+                rows,
+                finish_t[at][rows],
+                finish_cell[at][rows],
+                duration[at][rows],
+                reward[at][rows].astype(np.float64),
+            )
+        )
+    return TupleArrays.join(windows)
 
 
 def assert_same_part(got, want, horizon):

@@ -216,7 +216,7 @@ def test_criterion_6_default_scenario_concordance():
     sc = default_scenario()
     world = sc.build_world()
     gamma = 0.9
-    policy = myopic_policy(gamma, world, world.horizon, sc.pickup_radius)
+    policy = myopic_policy(gamma, world, sc.pickup_radius)
     src_model = sc.build_source_model()
     tgt_model = sc.build_target_model()
     src_days, tgt_days = [], []
@@ -228,12 +228,15 @@ def test_criterion_6_default_scenario_concordance():
     v_src = dp_evaluate(as_arrays(src_days), world, gamma)
     v_tgt = dp_evaluate(as_arrays(tgt_days), world, gamma)
     spec = sc.concordance_spec(v_src)
-    rate = concordance_rate_report(v_src, v_tgt, spec).aggregate
+    report = concordance_rate_report(v_src, v_tgt, spec)
+    rate = report.aggregate
     elapsed = time.perf_counter() - start
+    # the aggregate counts a tied pair as agreement; the strict rate leaves ties out
     record(
         6,
         rate > 0.80 and elapsed < 30.0,
-        f"oracle DP concordance on auto pair set = {rate:.3f} (> 0.80), "
+        f"oracle DP concordance on auto pair set = {rate:.3f} (> 0.80; "
+        f"strict {report.strict_rate:.3f}, tied share {report.tied_share:.3f}), "
         f"runtime {elapsed:.1f}s (< 30s)",
     )
 

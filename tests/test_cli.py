@@ -240,6 +240,16 @@ class TestConcordance:
         assert "target table" in result.output
         assert f"value table line 2: value '{text}' is not finite" in result.output
 
+    def test_huge_index_fails_before_allocating(self, tmp_path):
+        # a dense count array of the listed extents would need 3.2e16 bytes
+        good = self.table_text(np.zeros((11, 4)).tolist())
+        result = self.run_concordance(tmp_path, good, good + "1000000000000000,0,0.0\n")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "Error: target table" in result.output
+        assert "must list each (t, cell) once" in result.output
+
     def test_nonzero_terminal_row_fails_cleanly(self, tmp_path):
         vals = np.zeros((11, 4))
         vals[-1, 2] = 1.5

@@ -51,7 +51,7 @@ def policies(kind, table, gamma, world, radius):
     """(columnar policy, object-per-record policy) of the same kind."""
     if kind == "myopic":
         return (
-            myopic_policy(gamma, world, world.horizon, radius),
+            myopic_policy(gamma, world, radius),
             ref.myopic_policy(gamma, world, radius),
         )
     return (

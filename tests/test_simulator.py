@@ -19,9 +19,9 @@ from dispatchlab import (
     transfer_evaluate,
 )
 from dispatchlab.simulator import DayStreams, as_order_index, window_rng
-from dispatchlab.valuation import as_arrays, is_idle
+from dispatchlab.valuation import as_arrays
 
-from conftest import assert_same_part, assert_tuple_dtypes
+from conftest import assert_same_part, assert_tuple_dtypes, idle_rows
 from reference_objects import order_batch, script_orders, truncated_discounted_reward
 from test_gpi import micro_scenario
 
@@ -230,7 +230,7 @@ class TestApplyMatching:
 def greedy_for(world, gamma):
     from dispatchlab.gpi import myopic_policy
 
-    return myopic_policy(gamma, world, world.horizon, None)
+    return myopic_policy(gamma, world, None)
 
 
 class TestRunDay:
@@ -244,6 +244,20 @@ class TestRunDay:
         assert metrics.completion_rate == 1.0
         assert len(tuples) == world.horizon
         assert_all_idle(tuples)
+
+    def test_model_with_fewer_cells_than_world_fails(self):
+        # a 3-cell model would leave cell 3 of the lattice without orders or drivers
+        world = GridWorld.lattice(2, 2, 6)
+        model = flat_model(GridWorld(3, 6, np.ones((3, 3))), 0.5, driver_counts=np.array([1, 1, 1]))
+        with pytest.raises(ValueError, match=r"shape \(6, 3\).*needs \(6, 4\)"):
+            run_day(world, model, greedy_for(world, 0.9), 0.9, seed=0)
+
+    def test_model_with_fewer_windows_than_horizon_fails(self):
+        # without the check the day stopped with an IndexError at window 4
+        world = GridWorld(2, 6, np.ones((2, 2)))
+        model = flat_model(GridWorld(2, 4, np.ones((2, 2))), 0.5, driver_counts=np.array([1, 1]))
+        with pytest.raises(ValueError, match=r"shape \(4, 2\).*needs \(6, 2\)"):
+            run_day(world, model, greedy_for(world, 0.9), 0.9, seed=0)
 
     def test_single_forced_match(self, monkeypatch):
         world = GridWorld(2, 6, np.ones((2, 2)))
@@ -379,7 +393,7 @@ class TestRunDay:
         _, day, _ = self.micro_day(monkeypatch)
         stored = [getattr(day, name) for name in TupleArrays.__slots__]
         arrays = [a for a in stored if isinstance(a, np.ndarray)]
-        full = np.count_nonzero(~is_idle(*(getattr(day, name) for name in TUPLE_COLUMNS)))
+        full = np.count_nonzero(~idle_rows(*(getattr(day, name) for name in TUPLE_COLUMNS)))
         assert 0 < full < len(day)
         assert sum(a.nbytes for a in arrays) == 4 * len(day) + 24 * full
 

@@ -18,7 +18,6 @@ from dispatchlab.valuation import (
     as_arrays,
     backup_start,
     discount_table,
-    is_idle,
     served_transition,
     td_slice,
 )
@@ -28,6 +27,8 @@ from conftest import (
     FullPart,
     assert_same_part,
     assert_tuple_dtypes,
+    compact_part,
+    idle_rows,
     make_world,
     random_buffer,
 )
@@ -290,40 +291,35 @@ def mixed_columns(rng, world, n):
 
 
 class TestIdleForm:
-    """An idle transition is stored as its start cell alone, losslessly."""
+    """The window builder stores an idle transition as its start cell alone,
+    losslessly; the sorting constructor keeps every row in full."""
 
     WORLD = make_world(4, 8)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_columns_equal_full_reference(self, seed):
         cols = mixed_columns(np.random.default_rng(seed), self.WORLD, 120)
-        arr = TupleArrays(*cols)
         want = FullPart(*cols)
-        assert_tuple_dtypes(arr)
-        assert_same_part(arr, want, self.WORLD.horizon)
-        # -0.0 is not the idle reward: those rows keep their sign
-        assert np.array_equal(np.signbit(arr.reward), np.signbit(want.reward))
-        full = np.count_nonzero(~is_idle(*cols))
-        assert 0 < full < len(arr)
-        stored = [getattr(arr, name) for name in TupleArrays.__slots__]
-        nbytes = sum(a.nbytes for a in stored if isinstance(a, np.ndarray))
-        assert nbytes == 4 * len(arr) + 24 * full
-
-    def test_idle_means_equal_bits(self):
-        # an idle row, then one field off in each other row: reward -0.0 among them
-        start_t, start_cell = np.full(6, 3), np.full(6, 1)
-        finish_t = np.array([4, 4, 5, 4, 4, 4])
-        finish_cell = np.array([1, 1, 1, 2, 1, 1])
-        reward = np.array([0.0, -0.0, 0.0, 0.0, 0.0, 1e-300])
-        duration = np.array([1, 1, 1, 1, 2, 1])
-        idle = is_idle(start_t, start_cell, finish_t, finish_cell, reward, duration)
-        assert idle.tolist() == [True] + [False] * 5
+        full = np.count_nonzero(~idle_rows(*cols))
+        assert 0 < full < len(want.start_t)
+        for arr, kept in ((TupleArrays(*cols), len(want.start_t)), (compact_part(*cols), full)):
+            assert len(arr.full) == kept
+            assert_tuple_dtypes(arr)
+            assert_same_part(arr, want, self.WORLD.horizon)
+            # -0.0 is not the idle reward: those rows keep their sign
+            assert np.array_equal(np.signbit(arr.reward), np.signbit(want.reward))
+            stored = [getattr(arr, name) for name in TupleArrays.__slots__]
+            nbytes = sum(a.nbytes for a in stored if isinstance(a, np.ndarray))
+            assert nbytes == 4 * len(arr) + 24 * kept
 
     @pytest.mark.parametrize("gamma", [0.9, 1.0])
     def test_td_slice_equals_full_formula(self, gamma):
         rng = np.random.default_rng(6)
         columns = [mixed_columns(rng, self.WORLD, k) for k in (70, 0, 45, 90)]
-        parts = [TupleArrays(*cols) for cols in columns]
+        # compact and sorted parts alternate, so a slice mixes both forms
+        parts = [
+            (compact_part if i % 2 == 0 else TupleArrays)(*cols) for i, cols in enumerate(columns)
+        ]
         want = FullPart(*(np.concatenate(col) for col in zip(*columns)))
         T, n = self.WORLD.horizon, self.WORLD.n_cells
         values = rng.normal(size=(T + 1, n))
