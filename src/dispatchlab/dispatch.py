@@ -43,10 +43,23 @@ class MatchProblem:
 
 @dataclass
 class MatchResult:
-    """Chosen order index per driver (None = stay idle) and the total score."""
+    """One window's matching: the order each driver serves, -1 to stay idle."""
 
-    assignment: List[Optional[int]]
-    objective: float
+    order_index: np.ndarray
+    problem: MatchProblem
+
+    @property
+    def assignment(self) -> List[Optional[int]]:
+        """order_index as a list, None for an idle driver."""
+        return [None if k < 0 else k for k in self.order_index.tolist()]
+
+    @property
+    def objective(self) -> float:
+        """The chosen scores, idle ones included, summed left to right."""
+        k, objective = self.order_index, 0.0
+        for value in self.problem.scores[np.arange(len(k)), k + 1].tolist():
+            objective += value
+        return objective
 
 
 def build_problem(
@@ -71,10 +84,8 @@ def build_problem(
     t = drivers.t
     scores = np.zeros((m, n + 1))
     feasible = np.ones((m, n + 1), dtype=bool)
-    if m == 0:
-        return MatchProblem(drivers, orders, scores, feasible)
     scores[:, 0] = value.values[t, drivers.cell]
-    if n == 0:
+    if m == 0 or n == 0:
         return MatchProblem(drivers, orders, scores, feasible)
 
     waiting = np.zeros(world.n_cells, dtype=bool)
@@ -121,15 +132,10 @@ def km_match(p: MatchProblem) -> MatchResult:
     with equal objective, the result is the one `linear_sum_assignment`
     returns on G, with drivers in batch order.
     """
-    m, n = len(p.drivers), len(p.orders)
-    choice = np.zeros(m, dtype=np.int64)  # column of p.scores, 0 = idle
-    if m and n:
-        gain = np.where(p.feasible[:, 1:], p.scores[:, 1:] - p.scores[:, :1], 0.0)
-        np.maximum(gain, 0.0, out=gain)
-        rows, cols = linear_sum_assignment(gain, maximize=True)
-        served = gain[rows, cols] > 0.0
-        choice[rows[served]] = cols[served] + 1
-    objective = 0.0
-    for value in p.scores[np.arange(m), choice].tolist():
-        objective += value
-    return MatchResult([int(c) - 1 if c else None for c in choice.tolist()], objective)
+    order_index = np.full(len(p.drivers), -1, dtype=np.int64)
+    gain = np.where(p.feasible[:, 1:], p.scores[:, 1:] - p.scores[:, :1], 0.0)
+    np.maximum(gain, 0.0, out=gain)
+    rows, cols = linear_sum_assignment(gain, maximize=True)
+    served = gain[rows, cols] > 0.0
+    order_index[rows[served]] = cols[served]
+    return MatchResult(order_index, p)

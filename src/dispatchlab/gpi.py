@@ -105,7 +105,7 @@ def value_dispatch_policy(
     """Collectively greedy dispatch w.r.t. a value table: exact matching on Q-scores."""
 
     def policy(drivers, orders, t):
-        return km_match(build_problem(drivers, orders, value, gamma, world, radius)).assignment
+        return km_match(build_problem(drivers, orders, value, gamma, world, radius)).order_index
 
     return policy
 

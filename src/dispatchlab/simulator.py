@@ -6,22 +6,22 @@ realizations under a shared seed (common random numbers).
 
 A window travels as columns: `generate_window` returns an `OrderBatch` and
 the idle drivers as a `DriverBatch`, the policy returns one order index (or
-None) per driver, and `apply_matching` turns that into the window's rows of
+-1) per driver, and `apply_matching` turns that into the window's rows of
 a `TupleArrays` buffer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .valuation import INDEX_DTYPE, TupleArrays, discount_table, served_transition
 from .world import ConstraintViolation, DemandModel, DriverBatch, GridWorld, OrderBatch
 
-# A policy maps (drivers, orders, t) to one entry per driver: the index of
-# the order it serves, or None to stay idle (the km_match assignment form).
-Policy = Callable[[DriverBatch, OrderBatch, int], Sequence[Optional[int]]]
+# A policy maps (drivers, orders, t) to an integer array, per driver the order
+# it serves or -1 to stay idle: the MatchResult.order_index form.
+Policy = Callable[[DriverBatch, OrderBatch, int], np.ndarray]
 
 
 @dataclass
@@ -214,38 +214,32 @@ def generate_window(
     return OrderBatch(origins, dests, revenues, durations, t), drivers
 
 
-def as_order_index(assignment: Sequence[Optional[int]], m: int, n: int) -> np.ndarray:
-    """The km_match assignment form for m drivers and n orders as an int64
-    array, -1 for idle. Another length, an entry that is not an integer
-    (a float or a bool), or one that is neither -1 nor an order, raises
-    ConstraintViolation."""
-    if isinstance(assignment, np.ndarray):
-        k, kinds = assignment, {assignment.dtype.type}
-    else:
-        k = [-1 if x is None else x for x in assignment]
-        kinds = set(map(type, k))
-    bad = [t for t in kinds if t is bool or not issubclass(t, (int, np.integer))]
-    if bad and len(k):
-        raise ConstraintViolation(f"assignment entry of type {bad[0].__name__} is not an order")
-    k = np.array(k, dtype=np.int64)  # a copy: run_day writes cancelled entries into it
+def as_order_index(k: np.ndarray, m: int, n: int) -> np.ndarray:
+    """An int64 copy of order index k for m drivers and n orders, -1 for idle.
+    Anything but an integer ndarray, another length, or an entry that is
+    neither -1 nor an order raises ConstraintViolation."""
+    if not isinstance(k, np.ndarray) or k.dtype.kind not in "iu":
+        what = f"{k.dtype} array" if isinstance(k, np.ndarray) else type(k).__name__
+        raise ConstraintViolation(f"assignment is a {what}, not an integer ndarray (-1 for idle)")
     if k.shape != (m,):
-        raise ConstraintViolation(f"assignment has {len(k)} entries for {m} drivers")
+        raise ConstraintViolation(f"assignment has shape {k.shape} for {m} drivers")
+    # the range is checked before the cast, which would wrap a large uint64 to -1
     if m and (k.min() < -1 or k.max() >= n):
         bad = k[(k < -1) | (k >= n)][0]
         raise ConstraintViolation(f"assignment entry {bad} is neither one of {n} orders nor -1")
-    return k
+    return k.astype(np.int64)  # a copy: run_day writes cancelled entries into it
 
 
 def apply_matching(
     drivers: DriverBatch,
     orders: OrderBatch,
-    assignment: Sequence[Optional[int]],
+    assignment: np.ndarray,
     gamma: float,
     world: GridWorld,
 ) -> TupleArrays:
     """Turn one window's assignment into its transition tuples, one per driver.
 
-    `assignment[l]` is the order driver l serves, or None (or -1) to idle.
+    `assignment[l]` is the order driver l serves, or -1 to idle.
     Serve tuples cover pickup plus trip with the truncated, pickup-delayed
     installment reward; idle tuples advance one window in place. Duplicate
     drivers or orders, and entries that `as_order_index` rejects, raise

@@ -320,9 +320,22 @@ def test_captured_windows_match_null_expansion(monkeypatch, drivers):
     assert any(np.any(p.scores[:, 0] != 0.0) for p in problems)
     for p in problems:
         res = km_match(p)
+        assert res.order_index.dtype == np.int64
+        assert res.order_index.tolist() == [-1 if k is None else k for k in res.assignment]
         assert_feasible_one_to_one(p, res.assignment)
         oracle, _ = null_expansion_match(p)
         assert abs(res.objective - oracle) <= 1e-12 * max(abs(oracle), 1e-300)
+
+
+def test_value_policy_returns_km_match_order_index():
+    # the policy hands run_day km_match's int64 array itself, with -1 for idle
+    world = make_world(2, 10)
+    drivers = driver_batch([DriverSlot(0, State(0, 0)), DriverSlot(1, State(0, 1))])
+    orders = order_batch([OrderRequest(0, 1, 10.0, 1, 0)])
+    policy = gpi.value_dispatch_policy(ValueTable.zeros(10, 2, 0.9), 0.9, world, None)
+    k = policy(drivers, orders, 0)
+    assert type(k) is np.ndarray and k.dtype == np.int64
+    assert k.tolist() == [0, -1]
 
 
 class TestGreedyScores:

@@ -151,7 +151,7 @@ def test_served_rows_like_idle_ones_match_reference(monkeypatch):
     script_orders(monkeypatch, scripted)
 
     def in_turn(drivers, orders, t):
-        return [l if l < len(orders) else None for l in range(len(drivers))]
+        return np.array([l if l < len(orders) else -1 for l in range(len(drivers))])
 
     def in_turn_objects(drivers, orders, t):
         return [(d, orders[l] if l < len(orders) else None) for l, d in enumerate(drivers)]
@@ -219,11 +219,11 @@ def test_apply_matching_matches_reference(gamma):
                 rng.integers(1, 31, 10),
             )
         ]
-        assignment = [None] * 12
+        assignment = np.full(12, -1)
         for l, k in zip(rng.permutation(12), range(8)):
             assignment[l] = k
         slots = [DriverSlot(l, State(t, int(c))) for l, c in enumerate(cells)]
-        pairs = [(d, None if k is None else requests[k]) for d, k in zip(slots, assignment)]
+        pairs = [(d, None if k < 0 else requests[k]) for d, k in zip(slots, assignment)]
         got = apply_matching(
             DriverBatch(np.arange(12), cells, t),
             order_batch(requests, t),

@@ -153,14 +153,14 @@ class TestApplyMatching:
     def serve_one(self, t, cell, order, gamma):
         """Tuples of one driver at (t, cell) assigned the single order `order`."""
         drivers, orders = DriverBatch([0], [cell], t), order_batch([order], t)
-        arr = apply_matching(drivers, orders, [0], gamma, self.world)
+        arr = apply_matching(drivers, orders, np.array([0]), gamma, self.world)
         assert len(arr) == 1
         assert_tuple_dtypes(arr)
         return arr
 
     def test_idle_advances_one_window(self):
         drivers = DriverBatch([0], [0], 3)
-        arr = apply_matching(drivers, OrderBatch.empty(3), [None], 0.9, self.world)
+        arr = apply_matching(drivers, OrderBatch.empty(3), np.array([-1]), 0.9, self.world)
         assert_all_idle(arr)
         assert_tuple_dtypes(arr)
         assert (arr.start_t[0], arr.start_cell[0]) == (3, 0)
@@ -199,12 +199,12 @@ class TestApplyMatching:
             OrderRequest(0, 1, -0.0, 1, 5),
         ]
         orders = order_batch(requests, 5)
-        assignment = [0, None, None, 1, 2][:m]
+        assignment = np.array([0, -1, -1, 1, 2][:m], dtype=np.int64)
         arr = apply_matching(drivers, orders, assignment, 0.9, self.world)
         assert len(arr) == m
         # every serving driver's row is kept in full, the idle-equal one too,
         # and the -0.0 reward keeps its sign
-        assert len(arr.full) == len(arr.full_reward) == m - assignment.count(None)
+        assert len(arr.full) == len(arr.full_reward) == np.count_nonzero(assignment >= 0)
         assert np.count_nonzero(np.signbit(arr.reward)) == (m == 5)
         want = TupleArrays(*(getattr(arr, name) for name in TUPLE_COLUMNS))
         assert_same_part(arr, want, self.world.horizon)
@@ -212,19 +212,19 @@ class TestApplyMatching:
     def test_rejects_duplicate_driver(self):
         drivers = DriverBatch([0, 0], [0, 0], 0)
         with pytest.raises(ConstraintViolation, match="driver"):
-            apply_matching(drivers, OrderBatch.empty(0), [None, None], 0.9, self.world)
+            apply_matching(drivers, OrderBatch.empty(0), np.array([-1, -1]), 0.9, self.world)
 
     def test_rejects_entry_below_minus_one(self):
         orders = order_batch([OrderRequest(0, 1, 5.0, 1, 0)], 0)
         drivers = DriverBatch([0, 1], [0, 0], 0)
         with pytest.raises(ConstraintViolation, match="-2"):
-            apply_matching(drivers, orders, [-2, 0], 0.9, self.world)
+            apply_matching(drivers, orders, np.array([-2, 0]), 0.9, self.world)
 
     def test_rejects_duplicate_order(self):
         orders = order_batch([OrderRequest(0, 1, 5.0, 1, 0)], 0)
         drivers = DriverBatch([0, 1], [0, 0], 0)
         with pytest.raises(ConstraintViolation, match="order"):
-            apply_matching(drivers, orders, [0, 0], 0.9, self.world)
+            apply_matching(drivers, orders, np.array([0, 0]), 0.9, self.world)
 
 
 def greedy_for(world, gamma):
@@ -294,18 +294,18 @@ class TestRunDay:
 
         def farsighted(drivers, orders, t):
             if t == 0:
-                return [None] * len(drivers)
+                return np.full(len(drivers), -1)
             taken = set()
             out = []
             for cell in drivers.cell.tolist():
-                pick = None
+                pick = -1
                 for k, origin in enumerate(orders.origin.tolist()):
                     if k not in taken and cell == origin:
                         pick = k
                         taken.add(k)
                         break
                 out.append(pick)
-            return out
+            return np.array(out)
 
         _, patient_metrics = run_day(world, model, farsighted, 1.0, seed=0)
         assert greedy_metrics.reward == pytest.approx(1.0)
@@ -328,7 +328,7 @@ class TestRunDay:
         model = flat_model(world, 2.0, driver_counts=np.array([1, 1]))
 
         def past_the_orders(drivers, orders, t):
-            return [len(orders)] + [None] * (len(drivers) - 1)
+            return np.array([len(orders)] + [-1] * (len(drivers) - 1))
 
         with pytest.raises(ConstraintViolation, match="neither one of"):
             run_day(world, model, past_the_orders, 0.9, seed=0)
@@ -338,9 +338,9 @@ class TestRunDay:
         model = flat_model(world, 2.0, driver_counts=np.array([1, 1]))
 
         def extra_entry_serves(drivers, orders, t):
-            return [None] * len(drivers) + [0]
+            return np.append(np.full(len(drivers), -1), 0)
 
-        with pytest.raises(ConstraintViolation, match="3 entries for 2 drivers"):
+        with pytest.raises(ConstraintViolation, match=r"shape \(3,\) for 2 drivers"):
             run_day(world, model, extra_entry_serves, 0.9, seed=0)
 
     def test_rejects_a_float_entry_from_the_policy(self):
@@ -348,9 +348,9 @@ class TestRunDay:
         model = flat_model(world, 2.0, driver_counts=np.array([1, 1]))
 
         def fractional(drivers, orders, t):
-            return [0.7] + [None] * (len(drivers) - 1)
+            return np.array([0.7] + [-1.0] * (len(drivers) - 1))
 
-        with pytest.raises(ConstraintViolation, match="type float is not an order"):
+        with pytest.raises(ConstraintViolation, match="float64 array, not an integer ndarray"):
             run_day(world, model, fractional, 0.9, seed=0)
 
     def test_common_random_numbers_across_policies(self):
@@ -358,7 +358,7 @@ class TestRunDay:
         model = flat_model(world, 1.0, driver_counts=np.array([1, 1, 1, 1]))
 
         def idle_policy(drivers, orders, t):
-            return [None] * len(drivers)
+            return np.full(len(drivers), -1)
 
         _, greedy_metrics = run_day(world, model, greedy_for(world, 0.9), 0.9, seed=5)
         _, idle_metrics = run_day(world, model, idle_policy, 0.9, seed=5)
@@ -422,24 +422,50 @@ class TestRunDay:
 class TestAsOrderIndex:
     @pytest.mark.parametrize(
         "assignment, kind",
-        [([0.7, None], "float"), (np.array([1.9, -1.0]), "float64"), ([True, None], "bool"),
-         ([np.True_, None], "bool"), (np.array([True, False]), "bool")],
+        [(np.array([0.7, -1.0], dtype=np.float32), "float"), (np.array([1.9, -1.0]), "float64"),
+         (np.array([True, False]), "bool"), (np.array([np.True_, np.False_]), "bool"),
+         (np.array([[True], [False]]), "bool")],
     )
     def test_rejects_entry_that_is_not_an_integer(self, assignment, kind):
-        # these used to be cast to int64 and served orders 0 or 1
-        with pytest.raises(ConstraintViolation, match=f"type {kind} is not an order"):
+        # a cast to int64 would serve orders 0 or 1
+        with pytest.raises(ConstraintViolation, match=f"assignment is a {kind}"):
             as_order_index(assignment, 2, 3)
 
     @pytest.mark.parametrize(
+        "assignment, kind",
+        [([2, -1], "list"), ([2, None], "list"), ((2, -1), "tuple"),
+         (np.array([2, None], dtype=object), "object array"), (np.array([]), "float64 array")],
+    )
+    def test_rejects_anything_but_an_integer_array(self, assignment, kind):
+        # the error names the form run_day expects
+        with pytest.raises(ConstraintViolation, match=f"{kind}, not an integer ndarray"):
+            as_order_index(assignment, len(assignment), 3)
+
+    @pytest.mark.parametrize(
         "assignment",
-        [[2, None], [np.int64(2), -1], np.array([2, -1], dtype=np.int32), np.array([2, -1])],
+        [np.array([2, -1]), np.array([2, -1], dtype=np.int32), np.array([2, -1], dtype=np.int16),
+         np.array([2, -1], dtype=np.int8)],
     )
     def test_integer_entries_and_idle_drivers(self, assignment):
         k = as_order_index(assignment, 2, 3)
-        assert k.dtype == np.int64 and k is not assignment  # run_day writes into k
+        assert k.dtype == np.int64 and not np.shares_memory(k, assignment)  # run_day writes into k
         np.testing.assert_array_equal(k, [2, -1])
 
-    @pytest.mark.parametrize("empty", [[], np.array([]), np.array([], dtype=np.int64)])
+    @pytest.mark.parametrize("big", [2**64 - 1, 2**63 + 5])
+    def test_rejects_uint64_entry_beyond_int64(self, big):
+        # an int64 cast would wrap 2**64 - 1 to -1 (idle) and 2**63 + 5 to a negative
+        with pytest.raises(ConstraintViolation, match=f"entry {big} is neither"):
+            as_order_index(np.array([big], dtype=np.uint64), 1, 3)
+
+    @pytest.mark.parametrize("shape", [(2, 1), ()])
+    def test_rejects_another_shape(self, shape):
+        with pytest.raises(ConstraintViolation, match=r"shape \(.*\) for 2 drivers"):
+            as_order_index(np.zeros(shape, dtype=np.int64), 2, 3)
+
+    @pytest.mark.parametrize(
+        "empty",
+        [np.array([], dtype=np.int64), np.array([], dtype=np.int32), np.array([], dtype=np.uint8)],
+    )
     def test_empty_assignment_for_no_drivers(self, empty):
         k = as_order_index(empty, 0, 3)
         assert k.dtype == np.int64 and k.shape == (0,)
