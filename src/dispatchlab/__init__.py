@@ -31,7 +31,7 @@ from .dispatch import (
     build_problem,
     km_match,
 )
-from .simulator import DayMetrics, DriverPool, apply_matching, generate_window, run_day
+from .simulator import DayRow, DriverPool, apply_matching, generate_window, run_day
 from .scenario import Scenario, ScenarioError, default_scenario
 from .gpi import (
     Buffer,

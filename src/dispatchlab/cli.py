@@ -36,11 +36,9 @@ def _load_config(
     """The config at `path` with the command-line overrides applied.
 
     The overrides go into the config dict, which is validated again, so the
-    schema is the one check for the file and the command line alike. The
-    scenario's world and demand models are then built once: a scenario can
-    pass the schema while its hot block, or the target's shifted one,
-    selects no cell, and only a build shows it. Any fault stops the command
-    with a click.ClickException carrying the ValueError's message.
+    schema is the one check for the file and the command line alike. Any
+    fault stops the command with a click.ClickException carrying the
+    ValueError's message.
     """
     try:
         data = ExperimentConfig.load(path).manifest()
@@ -51,9 +49,6 @@ def _load_config(
         if repetitions is not None:
             data["repetitions"] = repetitions
         cfg = ExperimentConfig.from_dict(data)
-        cfg.scenario.build_world()
-        cfg.scenario.build_source_model()
-        cfg.scenario.build_target_model()
     except ValueError as e:
         raise click.ClickException(str(e))
     return cfg
@@ -81,8 +76,7 @@ def _run_group(args) -> Dict[GridKey, list]:
 
     A policy that does not read lambda runs once; its rows go under every lambda.
     """
-    manifest, gamma, seed, mode = args
-    cfg = ExperimentConfig.from_dict(manifest)
+    cfg, gamma, seed, mode = args
     source = prepare_source(cfg.scenario, gamma, seed)
     if mode == "simulate":
         run, length = run_experiment, cfg.days
@@ -112,7 +106,7 @@ def _run(mode: str, config_path, out_dir, seeds, policies, parallel, repetitions
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise click.ClickException(f"cannot make output folder {out}: {path} is a file")
-    units = [(cfg.manifest(), gamma, seed, mode) for gamma in cfg.gammas for seed in cfg.seeds]
+    units = [(cfg, gamma, seed, mode) for gamma in cfg.gammas for seed in cfg.seeds]
     results: Dict[GridKey, list] = {}
     if parallel > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:

@@ -16,7 +16,7 @@ from .valuation import ValueTable, discount_table, served_transition
 from .world import DriverBatch, GridWorld, OrderBatch
 
 
-@dataclass
+@dataclass(eq=False)
 class MatchProblem:
     """One window's driver x order score matrix.
 
@@ -41,7 +41,7 @@ class MatchProblem:
             raise ValueError("the null option must always be feasible")
 
 
-@dataclass
+@dataclass(eq=False)
 class MatchResult:
     """One window's matching: the order each driver serves, -1 to stay idle."""
 

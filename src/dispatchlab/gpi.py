@@ -14,7 +14,7 @@ import numpy as np
 # advantage_transform is unused here: perfbench/layers.py times it through this binding
 from .dispatch import advantage_transform, build_problem, km_match  # noqa: F401
 from .scenario import Scenario
-from .simulator import DayMetrics, Policy, run_day
+from .simulator import DayRow, Policy, run_day
 from .transfer import ConcordanceSpec, OptimizerSettings, transfer_evaluate
 from .valuation import TupleArrays, ValueTable, dp_evaluate
 from .world import GridWorld
@@ -145,17 +145,6 @@ def prepare_source(scenario: Scenario, gamma: float, seed: int) -> SourceData:
     return SourceData(days=days, v_src=v_src, pairs=spec.pairs)
 
 
-@dataclass
-class DayRow:
-    day: int
-    reward: float
-    answer_rate: float
-    completion_rate: float
-    orders_created: int
-    orders_answered: int
-    orders_completed: int
-
-
 def _gpi_passes(
     scenario: Scenario,
     kind: PolicyKind,
@@ -164,10 +153,10 @@ def _gpi_passes(
     seed: int,
     lam: Optional[float],
     source: Optional[SourceData],
-) -> Iterator[Tuple[DayMetrics, ValueTable, Optional[ValueTable]]]:
+) -> Iterator[Tuple[DayRow, ValueTable, Optional[ValueTable]]]:
     """GPI over the target days in `schedule`: evaluate, dispatch the day, absorb the data.
 
-    Yields each pass's day metrics, the table it dispatched with and the
+    Yields each pass's DayRow, the table it dispatched with and the
     table of the pass before (None on the first). Demand realizations
     depend only on (scenario seed, seed, day, window), so different
     policies run against identical order streams.
@@ -189,11 +178,11 @@ def _gpi_passes(
             kind, buffer, source.v_src, spec, world, gamma, opt=opt, prev=prev
         )
         policy = value_dispatch_policy(value, gamma, world, scenario.pickup_radius)
-        tuples, metrics = run_day(
+        tuples, row = run_day(
             world, target_model, policy, gamma, scenario.seed + seed, phase=PHASE_TARGET, day=day
         )
         buffer.target_days.append(tuples)
-        yield metrics, value, prev
+        yield row, value, prev
         prev = value
 
 
@@ -208,18 +197,7 @@ def run_experiment(
 ) -> List[DayRow]:
     """GPI over target days 0 .. days - 1, one row per day."""
     passes = _gpi_passes(scenario, kind, range(days), gamma, seed, lam, source)
-    return [
-        DayRow(
-            day=day,
-            reward=metrics.reward,
-            answer_rate=metrics.answer_rate,
-            completion_rate=metrics.completion_rate,
-            orders_created=metrics.orders_created,
-            orders_answered=metrics.orders_answered,
-            orders_completed=metrics.orders_completed,
-        )
-        for day, (metrics, _, _) in enumerate(passes)
-    ]
+    return [row for row, _, _ in passes]
 
 
 @dataclass
@@ -249,10 +227,10 @@ def repeat_single_day(
     return [
         RepeatRow(
             iteration=it,
-            reward=metrics.reward,
+            reward=row.reward,
             value_delta=(
                 float("inf") if prev is None else float(np.max(np.abs(value.values - prev.values)))
             ),
         )
-        for it, (metrics, value, prev) in enumerate(passes)
+        for it, (row, value, prev) in enumerate(passes)
     ]

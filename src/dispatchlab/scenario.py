@@ -180,9 +180,13 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """The checked scenario: schema, pair set, and both demand models built once,
+        which alone shows a hot block (or the target's shifted one) selecting no cell."""
         check_scenario(data)
         scenario = cls(raw=data)
         scenario._check_pairs()
+        scenario.build_source_model()
+        scenario.build_target_model()
         return scenario
 
     @classmethod

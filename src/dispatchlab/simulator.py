@@ -25,23 +25,19 @@ Policy = Callable[[DriverBatch, OrderBatch, int], np.ndarray]
 
 
 @dataclass
-class DayMetrics:
-    reward: float = 0.0
-    orders_created: int = 0
-    orders_answered: int = 0
-    orders_completed: int = 0
+class DayRow:
+    """One simulated day: its reward, order counts and rates, as the CSVs print it.
 
-    @property
-    def answer_rate(self) -> float:
-        if self.orders_created == 0:
-            return 1.0
-        return self.orders_answered / self.orders_created
+    A rate whose denominator is 0 is 1.0.
+    """
 
-    @property
-    def completion_rate(self) -> float:
-        if self.orders_answered == 0:
-            return 1.0
-        return self.orders_completed / self.orders_answered
+    day: int
+    reward: float
+    answer_rate: float
+    completion_rate: float
+    orders_created: int
+    orders_answered: int
+    orders_completed: int
 
 
 class DriverPool:
@@ -274,8 +270,8 @@ def run_day(
     seed: int,
     phase: int = 0,
     day: int = 0,
-) -> Tuple[TupleArrays, DayMetrics]:
-    """Simulate one full day of dispatch windows.
+) -> Tuple[TupleArrays, DayRow]:
+    """Simulate one full day of dispatch windows: its transitions and its DayRow.
 
     Accepted orders may be cancelled before completion with probability
     cancellation * pickup_wait (clamped to [0, 1]); a cancelled order leaves
@@ -292,32 +288,35 @@ def run_day(
         )
     pool = DriverPool(model.driver_counts)
     streams = DayStreams(seed, phase, day, world.horizon)
-    metrics = DayMetrics()
+    reward, created, answered, completed = 0.0, 0, 0, 0
     windows = []
     for t in range(world.horizon):
         orders, drivers = generate_window(model, world, t, streams.rng(t), pool)
-        metrics.orders_created += len(orders)
+        created += len(orders)
         if not len(drivers):
             continue
         k = as_order_index(policy(drivers, orders, t), len(drivers), len(orders))
         serve = (k >= 0).nonzero()[0]
         if serve.size:
-            metrics.orders_answered += serve.size
+            answered += serve.size
             cancel_u = streams.rng(t, stream=1).random(max(1, len(orders)))
             pickup = world.pickup_matrix[drivers.cell[serve], orders.origin[k[serve]]]
             p_complete = np.minimum(1.0, np.maximum(0.0, 1.0 - model.cancellation * pickup))
             done = cancel_u[k[serve]] < p_complete
-            metrics.orders_completed += int(done.sum())
+            completed += int(done.sum())
             k[serve[~done]] = -1
         window = apply_matching(drivers, orders, k, gamma, world)
         # the window keeps the serving drivers' rows in full, in driver order:
         # plain left-to-right float additions
         for r in window.full_reward.tolist():
-            metrics.reward += r
+            reward += r
         # every driver waits one window where it is, unless it serves an order
         pool.busy_until[drivers.driver_id] = t + 1
         full = window.full
         pool.occupy(drivers.driver_id[full[:, 0]], full[:, 1], full[:, 2])
         windows.append(window)
+    answer_rate = answered / created if created else 1.0
+    completion_rate = completed / answered if answered else 1.0
+    row = DayRow(day, reward, answer_rate, completion_rate, created, answered, completed)
     # the windows come in start-time order: the day joins them, unsorted
-    return TupleArrays.join(windows), metrics
+    return TupleArrays.join(windows), row

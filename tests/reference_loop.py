@@ -6,7 +6,7 @@ Its policies score each pair with the scalar reward definition and solve
 them with `km_match`. It draws from the same RNG streams in the same order as
 `dispatchlab.simulator`, so for equal inputs the columnar loop must return
 the same columns as its tuples stored in full (`conftest.FullPart`) and the same
-`DayMetrics`, bit for bit. `run_day(..., scripted=)` serves listed orders
+`DayRow`, bit for bit. `run_day(..., scripted=)` serves listed orders
 in place of sampled demand, as `reference_objects.script_orders` makes the
 columnar loop do.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from dispatchlab import (
     ConstraintViolation,
-    DayMetrics,
+    DayRow,
     DemandModel,
     DriverSlot,
     GridWorld,
@@ -118,14 +118,14 @@ def run_day(
     phase: int = 0,
     day: int = 0,
     scripted: Scripted = None,
-) -> Tuple[List[TransitionTuple], DayMetrics]:
+) -> Tuple[List[TransitionTuple], DayRow]:
     pool = DriverPool(model.driver_counts)
-    metrics = DayMetrics()
+    reward, created, answered, completed = 0.0, 0, 0, 0
     tuples: List[TransitionTuple] = []
     for t in range(world.horizon):
         rng = window_rng(seed, phase, day, t)
         orders, drivers = generate_window(model, world, t, rng, pool, scripted)
-        metrics.orders_created += len(orders)
+        created += len(orders)
         if not drivers:
             continue
         assignments = policy(drivers, orders, t)
@@ -136,21 +136,23 @@ def run_day(
             if order is None:
                 executed.append((driver, None))
                 continue
-            metrics.orders_answered += 1
+            answered += 1
             pickup = int(world.pickup_matrix[driver.state.cell, order.origin])
             p_complete = min(1.0, max(0.0, 1.0 - model.cancellation * pickup))
             if cancel_u[order_ids[id(order)]] < p_complete:
-                metrics.orders_completed += 1
+                completed += 1
                 executed.append((driver, order))
             else:
                 executed.append((driver, None))
         new_tuples = apply_matching(executed, t, gamma, world)
         for (driver, _), tr in zip(executed, new_tuples):
             if not tr.is_idle:
-                metrics.reward += tr.reward_discounted
+                reward += tr.reward_discounted
             pool.occupy(driver.driver_id, tr.finish.t, tr.finish.cell)
         tuples.extend(new_tuples)
-    return tuples, metrics
+    answer_rate = 1.0 if created == 0 else answered / created
+    completion_rate = 1.0 if answered == 0 else completed / answered
+    return tuples, DayRow(day, reward, answer_rate, completion_rate, created, answered, completed)
 
 
 def build_problem(

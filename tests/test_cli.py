@@ -105,6 +105,25 @@ class TestSimulate:
         assert len(lines) == 4
         assert all(line.split(",")[1] == "greedy" for line in lines)
 
+    def test_config_checked_for_the_file_and_the_overrides_only(self, tmp_path, monkeypatch):
+        # the (gamma, seed) units reuse the parsed config instead of checking it again
+        import dispatchlab.reporting as reporting
+
+        checked, check = [], reporting.check_config
+
+        def counted(data):
+            checked.append(data)
+            check(data)
+
+        monkeypatch.setattr(reporting, "check_config", counted)
+        cfg = write_config(tmp_path, gammas=[0.9, 0.95], days=1)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(cfg), "--out", str(out), "--seeds", "0,1"]
+        )
+        assert result.exit_code == 0, result.output
+        assert [data.get("seeds") for data in checked] == [[0], [0, 1]]
+
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -402,8 +421,8 @@ class TestOutputPath:
 
 class TestScenarioModels:
     """A scenario can pass the schema while its hot block, or the target's shifted
-    one, selects no cell. Each command that runs or checks a grid builds the
-    world and both demand models first, and stops with a clean error."""
+    one, selects no cell. Loading the config builds both demand models, so
+    every command stops with a clean error before any work."""
 
     CASES = {
         "hot_block": (
@@ -421,12 +440,18 @@ class TestScenarioModels:
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    @pytest.mark.parametrize("command", ["simulate", "repeat-day", "validate-config"])
+    @pytest.mark.parametrize(
+        "command", ["simulate", "repeat-day", "validate-config", "concordance"]
+    )
     def test_fails_before_the_grid(self, tmp_path, command, case):
         scenario, message = self.CASES[case]
         cfg = write_config(tmp_path, scenario=scenario)
         out = tmp_path / "out"
         args = [command, "--config", str(cfg)]
+        if command == "concordance":
+            table = tmp_path / "table.csv"
+            ValueTable(np.zeros((11, 4)), 0.9).save_csv(table)
+            args += ["--source-table", str(table), "--target-table", str(table)]
         if command != "validate-config":
             args += ["--out", str(out)]
         result = CliRunner().invoke(main, args)

@@ -217,6 +217,13 @@ class TestKmMatch:
             again = km_match(p)
             assert again.assignment == first.assignment
 
+    def test_comparing_results_does_not_raise(self):
+        # a generated __eq__ over the array fields raised "truth value ... is ambiguous"
+        p = problem_from_scores([[0.0, 5.0, 1.0], [0.0, 2.0, 4.0]])
+        res = km_match(p)
+        assert res == res and p == p
+        assert km_match(p) != res and copy.copy(p) != p
+
 
 def tied_problem(rng, m, n, duplicate_rows=False, masked_orders=0):
     """Integer scores in [-2, 3]: ties everywhere, and every sum is exact."""

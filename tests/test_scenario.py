@@ -69,9 +69,14 @@ class TestValidation:
     def test_empty_hot_block_rejected(self):
         raw = minimal_raw()
         raw["demand"]["hot_block"] = [0, 0, 0, 0]
-        sc = Scenario.from_dict(raw)
-        with pytest.raises(ScenarioError, match="hot_block"):
-            sc.build_source_model()
+        with pytest.raises(ScenarioError, match="demand.hot_block selects no cells"):
+            Scenario.from_dict(raw)
+
+    def test_hot_block_shifted_off_the_grid_rejected(self):
+        # the source block is fine; shifted two rows down it leaves the 2-row grid
+        raw = minimal_raw(target_shift={"block_shift": [2, 0]})
+        with pytest.raises(ScenarioError, match="shifted by target_shift.block_shift"):
+            Scenario.from_dict(raw)
 
     def test_auto_pairs_need_a_nonempty_tier(self):
         raw = minimal_raw(grid={"rows": 1, "cols": 3})

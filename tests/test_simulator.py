@@ -4,6 +4,7 @@ import pytest
 from dispatchlab import (
     ConcordanceSpec,
     ConstraintViolation,
+    DayRow,
     DemandModel,
     DriverBatch,
     DriverPool,
@@ -268,6 +269,16 @@ class TestRunDay:
         assert metrics.orders_answered == 1
         assert metrics.orders_completed == 1
         assert metrics.reward == pytest.approx(truncated_discounted_reward(8.0, 2, 0.9, 2))
+
+    def test_returns_the_row_of_its_day(self):
+        # the row the CSVs print: its day is run_day's argument, its rates are the counts' ratios
+        world = GridWorld(2, 8, np.full((2, 2), 2))
+        model = flat_model(world, 1.0, driver_counts=np.array([1, 1]), cancellation=0.3)
+        _, row = run_day(world, model, greedy_for(world, 0.9), 0.9, seed=4, phase=1, day=7)
+        assert isinstance(row, DayRow) and row.day == 7
+        assert 0 < row.orders_completed < row.orders_answered < row.orders_created
+        assert row.answer_rate == row.orders_answered / row.orders_created
+        assert row.completion_rate == row.orders_completed / row.orders_answered
 
     def test_tuple_conservation(self):
         # every window emits one tuple per idle driver: serve or idle
