@@ -181,7 +181,8 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         """The checked scenario: schema, pair set, and both demand models built once,
-        which alone shows a hot block (or the target's shifted one) selecting no cell."""
+        which alone shows a hot block (or the target's shifted one) selecting no
+        cell, or base rates that are 0 in every cell."""
         check_scenario(data)
         scenario = cls(raw=data)
         scenario._check_pairs()
@@ -279,6 +280,10 @@ class Scenario:
             shifted = " shifted by target_shift.block_shift" if any(block_shift) else ""
             raise ScenarioError(f"demand.hot_block{shifted} selects no cells")
         base[hot] = float(d["hot_rate"])
+        if not base.any():
+            raise ScenarioError(
+                "demand.hot_rate and demand.cold_rate are both 0: no cell has demand"
+            )
         return base
 
     def _time_profile(self, peak_shift: float = 0.0) -> np.ndarray:

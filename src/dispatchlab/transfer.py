@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -174,7 +174,11 @@ class SolveResult:
     the warm start and holds, after each iteration, the lowest solved
     objective so far (the penalized objective plus the tie-break term), so it
     is nonincreasing. `gap` is the relative duality gap certified for
-    `values`; 0 when the slice has a closed form.
+    `values`; 0 when the slice has a closed form. `multipliers` holds the
+    pair multipliers y whose dual bound D(y) (see `_hinge_qp`) certifies
+    that gap, one per source-ordered pair in the order of
+    `ConcordanceSpec.ordered_pairs`, each in [0, lam]; all 0 when the slice
+    has a closed form.
     """
 
     values: np.ndarray
@@ -182,6 +186,7 @@ class SolveResult:
     trace: np.ndarray
     iterations: int
     gap: float
+    multipliers: np.ndarray
 
 
 def solve_time_step(
@@ -214,6 +219,18 @@ def solve_time_step(
     certifies it to within sqrt(g / TIE_BREAK_RHO), and a loose `tol` lets
     it drift.
 
+    Coupled cells that the QP cannot tell apart share one variable (see
+    `_cell_classes`): the QP is strictly convex, so its one minimizer gives
+    them one value. A class's weight is the sum of its cells' weights, and
+    the mu pairs between two classes become one pair of weight lambda * mu.
+    That QP's objective at the class values equals the slice's at the
+    scattered values, and its multiplier Y on a class pair lifts to y_p =
+    Y / mu on each of the mu pairs, in [0, lambda], where the slice's dual
+    bound equals the class QP's: the gap certifies the slice itself. The
+    class QP also centres on the slice's central path (`_hinge_qp` is given
+    mu), so its iterates are the slice's own, gathered into classes, and it
+    stops where the unmerged solve would, up to rounding.
+
     The solve stops when the relative duality gap is at most
     max(opt.tol, GAP_FLOOR), when STALL_ITERS iterations in a row no longer
     reduce the gap, or after `opt.max_iters` iterations. The result is
@@ -239,23 +256,73 @@ def solve_time_step(
         # every hinge term is >= 0 and vanishes at the closed form, where the
         # quadratic is least and the cells without data sit at their warm
         # start: it is the exact, tie-broken minimizer
-        return SolveResult(v, const, np.array([f_warm, const]), 0, 0.0)
+        return SolveResult(v, const, np.array([f_warm, const]), 0, 0.0, np.zeros(len(s)))
 
     in_pair = np.zeros(n, dtype=bool)
     in_pair[pi] = in_pair[pj] = True
     coupled = np.flatnonzero(in_pair)
     local = np.cumsum(in_pair) - 1  # a coupled cell's position in `coupled`
+    li, lj = local[pi], local[pj]
     weight = np.where(covered[coupled], counts[coupled], TIE_BREAK_RHO)
-    x, qp_obj, dual, objs, iters = _hinge_qp(
-        local[pi], local[pj], s, weight, v[coupled], spec.lam, spec.margin, opt
+    a = v[coupled]
+    cls = _cell_classes(li, lj, s, weight, a)
+    k = int(cls.max()) + 1
+    centre = np.empty(k)
+    centre[cls] = a  # the members of a class share their a
+    # each pair's class pair, whatever its orientation; mu counts the pairs
+    # of a class pair, and any one of them stands for it
+    ci, cj = cls[li], cls[lj]
+    key = np.minimum(ci, cj) * k + np.maximum(ci, cj)
+    _, rep, pair_class, mu = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    x, qp_obj, dual, y, objs, iters = _hinge_qp(
+        ci[rep],
+        cj[rep],
+        s[rep],
+        np.bincount(cls, weight),
+        centre,
+        spec.lam * mu,
+        mu,
+        spec.margin,
+        opt,
     )
     trace = np.minimum.accumulate(np.array([f_warm] + [const + o for o in objs]))
     if f_warm <= const + qp_obj:
         v, qp_obj = warm, f_warm - const
     else:
-        v[coupled] = x
+        v[coupled] = x[cls]
     gap = (qp_obj - dual) / max(1.0, qp_obj)
-    return SolveResult(v, penalized_objective(v, cells, targets, v_src_t, spec), trace, iters, gap)
+    # a class pair's multiplier, shared out over the pairs it stands for
+    y = np.minimum(y[pair_class] / mu[pair_class], spec.lam)
+    return SolveResult(
+        v, penalized_objective(v, cells, targets, v_src_t, spec), trace, iters, gap, y
+    )
+
+
+def _cell_classes(
+    li: np.ndarray, lj: np.ndarray, s: np.ndarray, weight: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """Each coupled cell's class of cells that the slice QP cannot tell apart.
+
+    Cells c and c' fall in one class when they have the same weight d, the
+    same closed-form value a and the same signed partner row: for every
+    other cell e, the coefficient of x_c in the pair between c and e equals
+    that of x_c' in the pair between c' and e (0 for no pair). Swapping two
+    such cells maps the QP onto itself. A cell paired with another has that
+    cell in its row, which the other's row lacks, so no class holds a pair.
+    Classes are numbered 0, 1, ... in the order of their first cell.
+    """
+    k = len(weight)
+    keys = np.zeros((k, k + 2))
+    keys[:, 0], keys[:, 1] = weight, a
+    keys[li, 2 + lj] = -s
+    keys[lj, 2 + li] = s
+    flat, width = keys.tobytes(), keys.itemsize * (k + 2)
+    label: Dict[bytes, int] = {}
+    return np.array(
+        [label.setdefault(flat[c : c + width], len(label)) for c in range(0, len(flat), width)]
+    )
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -275,25 +342,38 @@ def _hinge_qp(
     s: np.ndarray,
     d: np.ndarray,
     a: np.ndarray,
-    lam: float,
+    lam: np.ndarray,
+    mult: np.ndarray,
     margin: float,
     opt: OptimizerSettings,
-) -> Tuple[np.ndarray, float, float, List[float], int]:
+) -> Tuple[np.ndarray, float, float, np.ndarray, List[float], int]:
     """Mehrotra predictor-corrector for the coupled-cell QP of a slice.
 
-        min_x  g(x) = sum_c d_c (x_c - a_c)^2 + lam * sum_p xi_p
+        min_x  g(x) = sum_c d_c (x_c - a_c)^2 + sum_p lam_p xi_p
         s.t.   w_p = s_p (x_j - x_i) + xi_p - margin >= 0,  xi_p >= 0
 
-    for pairs p = (i, j) = (li[p], lj[p]), with multipliers y >= 0 on w and
-    z >= 0 on xi (y + z = lam at optimality). Eliminating the slacks leaves
-    the k x k normal matrix 2 diag(d) + A^T diag(1 / theta) A, where A is the
-    signed pair incidence and theta = w / y + xi / z; it is factored once per
-    iteration and serves both the predictor and the corrector solve.
+    for pairs p = (i, j) = (li[p], lj[p]) with weights lam_p > 0, and
+    multipliers y >= 0 on w and z >= 0 on xi. The iterates stay on the
+    feasible path: they start with z = lam - y and w = A x + xi - margin,
+    where A is the signed pair incidence, and each Newton step keeps both
+    equalities, so neither residual is formed, and margin - A x is read as
+    xi - w. Eliminating the slacks leaves the k x k normal matrix
+    2 diag(d) + A^T diag(1 / theta) A, where theta = w / y + xi / z; it is
+    factored once per iteration and serves both the predictor and the
+    corrector solve.
+
+    Pair p stands for mult[p] pairs of the slice (see `solve_time_step`),
+    and the central path is the slice's: the mean complementarity is taken
+    over sum(mult) pairs and pair p is centred toward mult[p] times it. Its
+    iterates are then the slice's own, gathered into classes, so a merged
+    solve stops where the unmerged one would. With mult all 1 this is the
+    plain Mehrotra step.
 
     Any y in [0, lam] gives the lower bound D(y) = margin * sum(y) -
     sum_c (u_c^2 / (4 d_c) + a_c u_c) with u = A^T y, so g(x) - max D is a
-    certified duality gap. Returns the iterate of lowest g, g there, the best
-    dual bound, g after each iteration, and the iteration count.
+    certified duality gap. Returns the iterate of lowest g, g recomputed
+    there from A x, the best dual bound and the multipliers y that give it,
+    g after each iteration, and the iteration count.
 
     A slice has at most a few hundred pairs, so the cost is per numpy call,
     not per element. The loop makes as few calls as it can without changing
@@ -310,28 +390,28 @@ def _hinge_qp(
     flat = np.concatenate([li * (k + 1), lj * (k + 1), li * k + lj, lj * k + li])
     diag = np.arange(k) * (k + 1)
     d2, d4 = 2.0 * d, 4.0 * d
+    n_comp = 2 * mult.sum()  # the slice's complementarity products, two per pair
+    mult2 = np.concatenate([mult, mult]).astype(float)
 
     x = a
     Ax = A @ x
     xi = np.maximum(margin - Ax, 0.0) + margin
     # the state: slacks X = (w, xi) and their multipliers Y = (y, z). The
-    # multipliers start on the slack side, y + z = lam with y small: at the
-    # optimum most pairs are slack (y = 0), and pairs between cells without
-    # data carry multipliers of order TIE_BREAK_RHO.
-    state = np.concatenate(
-        [Ax + xi - margin, xi, np.full(p, 0.1 * lam), np.full(p, 0.9 * lam)]
-    )
+    # multipliers start on the slack side, y = lam / 10: at the optimum most
+    # pairs are slack (y = 0), and pairs between cells without data carry
+    # multipliers of order TIE_BREAK_RHO.
+    y0 = 0.1 * lam
+    state = np.concatenate([Ax + xi - margin, xi, y0, lam - y0])
     X, Y = state[: 2 * p], state[2 * p :]
     w, xi = X[:p], X[p:]
     y, z = Y[:p], Y[p:]
-    best_x, best_g, dual, best_gap = x, math.inf, -math.inf, math.inf
+    u = At @ y
+    best_x, best_g, dual, best_y, best_gap = x, math.inf, -math.inf, np.zeros(p), math.inf
     objs: List[float] = []
     iters = stalls = 0
     while iters < opt.max_iters:
         iters += 1
-        r_dual = d2 * (x - a) - At @ y
-        r_box = lam - y - z
-        r_primal = Ax + xi - w - margin
+        r_dual = d2 * (x - a) - u
         XY = X * Y
         ratio = X / Y
         inv_theta = 1.0 / (ratio[:p] + ratio[p:])
@@ -342,35 +422,36 @@ def _hinge_qp(
         factor, info = dpotrf(normal.reshape(k, k))
         if info != 0:
             break  # the normal matrix is no longer positive definite in double precision
-        base = ratio[p:] * r_box - r_primal
 
         def newton(rc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             # rc is the complementarity residual X * Y - target
-            rhs = base + rc[p:] / z - rc[:p] / y
+            rhs = rc[p:] / z - rc[:p] / y
             dx = dpotrs(factor, At @ (rhs * inv_theta) - r_dual)[0]
             dstate = np.empty(4 * p)
             dX, dY = dstate[: 2 * p], dstate[2 * p :]
             np.multiply(rhs - A @ dx, inv_theta, out=dY[:p])
-            np.subtract(r_box, dY[:p], out=dY[p:])
+            np.negative(dY[:p], out=dY[p:])
             np.divide(-(rc + X * dY), Y, out=dX)
             return dx, dstate
 
         dx, dstate = newton(XY)
         step = _max_step(state, dstate)
         trial = state + step * dstate
-        mu = XY.sum() / (2 * p)
-        sigma = ((trial[: 2 * p] * trial[2 * p :]).sum() / (2 * p) / mu) ** 3
+        mu = XY.sum() / n_comp
+        sigma = ((trial[: 2 * p] * trial[2 * p :]).sum() / n_comp / mu) ** 3
         dX, dY = dstate[: 2 * p], dstate[2 * p :]
-        dx, dstate = newton(XY + dX * dY - sigma * mu)
+        dx, dstate = newton(XY + dX * dY - sigma * mu * mult2)
         step = min(1.0, 0.99 * _max_step(state, dstate))
         x = x + step * dx
         state += step * dstate
-        Ax = A @ x
 
-        y_box = np.minimum(np.maximum(y, 0.0), lam)
-        u = At @ y_box
-        dual = max(dual, margin * float(y_box.sum()) - float(u @ (u / d4 + a)))
-        g = float(d @ (x - a) ** 2) + lam * float(np.maximum(0.0, margin - Ax).sum())
+        # y > 0 stays so, and y <= lam holds but for rounding, which this clips
+        np.minimum(y, lam, out=y)
+        u = At @ y
+        bound = margin * float(y.sum()) - float(u @ (u / d4 + a))
+        if bound > dual:
+            dual, best_y = bound, y.copy()
+        g = float(d @ (x - a) ** 2) + float(lam @ np.maximum(0.0, xi - w))
         objs.append(g)
         if g < best_g:
             best_x, best_g = x, g
@@ -379,7 +460,8 @@ def _hinge_qp(
         best_gap = min(best_gap, gap)
         if not gap > max(opt.tol, GAP_FLOOR) * max(1.0, g) or stalls == STALL_ITERS:
             break
-    return best_x, best_g, dual, objs, iters
+    g = float(d @ (best_x - a) ** 2) + float(lam @ np.maximum(0.0, margin - A @ best_x))
+    return best_x, g, dual, best_y, objs, iters
 
 
 def transfer_evaluate(

@@ -285,3 +285,44 @@ def qp_reference(cells, targets, v_src_t, spec):
     h.run()
     assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
     return np.array(h.getSolution().col_value[:n])
+
+
+def slice_bounds(cells, targets, v_src_t, spec, warm, values, y):
+    """The primal value g(values) and the dual bound D(y) of a slice, so that
+    g - D bounds how far `values` are from the slice optimum.
+
+    Written from the `_hinge_qp` docstring, on the slice's own cells and
+    source-ordered pairs (no class merging). Cell c has weight d_c, its tuple
+    count, or the tie-break pull TIE_BREAK_RHO when it has no data, and
+    centre a_c, its target mean or else its warm start. The primal value is
+
+        g(v) = sum_c d_c (v_c - a_c)^2 + lam * sum_p max(0, margin - s_p (v_j - v_i)),
+
+    the tie-broken slice objective less its value at the target means. For y
+    in [0, lam], D(y) = margin * sum(y) - sum_c (u_c^2 / (4 d_c) + a_c u_c)
+    with u = A^T y, where row p of A is +s_p at j and -s_p at i, bounds g
+    from below. The objective grows by at least d_c (v_c - v*_c)^2 away from
+    its minimizer v*, so g - D also bounds each cell: |v_c - v*_c| <=
+    sqrt((g - D) / d_c).
+    """
+    from dispatchlab.transfer import TIE_BREAK_RHO
+
+    n = len(v_src_t)
+    y = np.asarray(y, dtype=float)
+    pi, pj = spec.pair_arrays
+    sign = np.sign(v_src_t[pj] - v_src_t[pi])
+    keep = sign != 0
+    pi, pj, sign = pi[keep], pj[keep], sign[keep]
+    assert y.shape == sign.shape
+    assert np.all((0.0 <= y) & (y <= spec.lam))
+    counts = np.bincount(cells, minlength=n).astype(float)
+    sums = np.bincount(cells, weights=targets, minlength=n)
+    d = np.where(counts > 0, counts, TIE_BREAK_RHO)
+    a = np.where(counts > 0, sums / np.maximum(counts, 1.0), warm)
+    hinge = np.maximum(0.0, spec.margin - sign * (values[pj] - values[pi]))
+    g = float(np.sum(d * (values - a) ** 2) + spec.lam * np.sum(hinge))
+    u = np.zeros(n)
+    np.add.at(u, pj, sign * y)
+    np.add.at(u, pi, -sign * y)
+    dual = spec.margin * float(np.sum(y)) - float(np.sum(u * u / (4.0 * d) + a * u))
+    return g, dual

@@ -1,12 +1,16 @@
-"""The slice solver's interior-point kernel as written before its per-call trimming.
+"""The slice solver's interior-point kernel in its plain form.
 
 `hinge_qp` is the Mehrotra predictor-corrector that `dispatchlab.transfer`
-used to solve each slice's coupled-cell QP, kept as written: `np.mean`,
-`np.tile` times a sign vector, `np.clip` and two concatenates per Newton
-step. Its step length and starting multipliers follow the current kernel.
+uses on each slice's coupled-cell QP, written without the kernel's per-call
+trimming: `np.tile` times a sign vector and times the pair counts,
+`np.clip`, two concatenates per Newton step, and `A.T @ y` formed afresh
+for the dual residual and for the dual bound. Like the kernel, it takes
+one hinge weight and one count of slice pairs per pair and keeps its
+iterates on the feasible path (z = lam - y and w = A x + xi - margin from
+the start, so neither residual is formed).
 `dispatchlab.transfer._hinge_qp` must perform the same floating-point
 operations, so for equal inputs both return the same iterates, objectives,
-dual bound and iteration count, bit for bit.
+dual bound, multipliers and iteration count, bit for bit.
 """
 from __future__ import annotations
 
@@ -30,25 +34,32 @@ def hinge_qp(
     s: np.ndarray,
     d: np.ndarray,
     a: np.ndarray,
-    lam: float,
+    lam: np.ndarray,
+    mult: np.ndarray,
     margin: float,
     opt: OptimizerSettings,
-) -> Tuple[np.ndarray, float, float, List[float], int]:
+) -> Tuple[np.ndarray, float, float, np.ndarray, List[float], int]:
     """Mehrotra predictor-corrector for the coupled-cell QP of a slice.
 
-        min_x  g(x) = sum_c d_c (x_c - a_c)^2 + lam * sum_p xi_p
+        min_x  g(x) = sum_c d_c (x_c - a_c)^2 + sum_p lam_p xi_p
         s.t.   w_p = s_p (x_j - x_i) + xi_p - margin >= 0,  xi_p >= 0
 
     for pairs p = (i, j) = (li[p], lj[p]), with multipliers y >= 0 on w and
-    z >= 0 on xi (y + z = lam at optimality). Eliminating the slacks leaves
-    the k x k normal matrix 2 diag(d) + A^T diag(1 / theta) A, where A is the
-    signed pair incidence and theta = w / y + xi / z; it is factored once per
-    iteration and serves both the predictor and the corrector solve.
+    z >= 0 on xi (y + z = lam at optimality). On the feasible path the
+    Newton step needs only the dual residual 2 d (x - a) - A^T y and the
+    complementarity residual; margin - A x is read as xi - w. Eliminating
+    the slacks leaves the k x k normal matrix 2 diag(d) + A^T diag(1 /
+    theta) A, where A is the signed pair incidence and theta = w / y + xi /
+    z; it is factored once per iteration and serves both the predictor and
+    the corrector solve. Pair p stands for mult[p] pairs of the slice: the
+    mean complementarity is taken over sum(mult) pairs, and pair p is
+    centred toward mult[p] times it.
 
     Any y in [0, lam] gives the lower bound D(y) = margin * sum(y) -
     sum_c (u_c^2 / (4 d_c) + a_c u_c) with u = A^T y, so g(x) - max D is a
-    certified duality gap. Returns the iterate of lowest g, g there, the best
-    dual bound, g after each iteration, and the iteration count.
+    certified duality gap. Returns the iterate of lowest g, g recomputed
+    there from A x, the best dual bound and its multipliers, g after each
+    iteration, and the iteration count.
     """
     p, k = len(s), len(d)
     rows = np.arange(p)
@@ -63,11 +74,10 @@ def hinge_qp(
     x = a
     Ax = A @ x
     xi = np.maximum(margin - Ax, 0.0) + margin
-    # the state: slacks X = (w, xi) and their multipliers Y = (y, z)
-    state = np.concatenate(
-        [Ax + xi - margin, xi, np.full(p, 0.1 * lam), np.full(p, 0.9 * lam)]
-    )
-    best_x, best_g, dual, best_gap = x, math.inf, -math.inf, math.inf
+    y = 0.1 * lam
+    # the state: slacks X = (w, xi) and their multipliers Y = (y, z), on the feasible path
+    state = np.concatenate([Ax + xi - margin, xi, y, lam - y])
+    best_x, best_g, dual, best_y, best_gap = x, math.inf, -math.inf, np.zeros(p), math.inf
     objs: List[float] = []
     iters = stalls = 0
     while iters < opt.max_iters:
@@ -75,8 +85,6 @@ def hinge_qp(
         X, Y = state[: 2 * p], state[2 * p :]
         y, z = Y[:p], Y[p:]
         r_dual = 2.0 * d * (x - a) - A.T @ y
-        r_box = lam - y - z
-        r_primal = Ax + X[p:] - X[:p] - margin
         XY = X * Y
         ratio = X / Y
         inv_theta = 1.0 / (ratio[:p] + ratio[p:])
@@ -85,32 +93,33 @@ def hinge_qp(
         factor, info = dpotrf(normal.reshape(k, k))
         if info != 0:
             break  # the normal matrix is no longer positive definite in double precision
-        base = ratio[p:] * r_box - r_primal
 
         def newton(rc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             # rc is the complementarity residual X * Y - target
-            rhs = base + rc[p:] / z - rc[:p] / y
+            rhs = rc[p:] / z - rc[:p] / y
             dx = dpotrs(factor, A.T @ (rhs * inv_theta) - r_dual)[0]
             dy = (rhs - A @ dx) * inv_theta
-            dY = np.concatenate([dy, r_box - dy])
+            dY = np.concatenate([dy, -dy])
             return dx, np.concatenate([-(rc + X * dY) / Y, dY])
 
         dx, dstate = newton(XY)
         step = _max_step(state, dstate)
         trial = state + step * dstate
-        mu = XY.mean()
-        sigma = (np.mean(trial[: 2 * p] * trial[2 * p :]) / mu) ** 3
+        mu = XY.sum() / (2 * mult.sum())
+        sigma = ((trial[: 2 * p] * trial[2 * p :]).sum() / (2 * mult.sum()) / mu) ** 3
         dX, dY = dstate[: 2 * p], dstate[2 * p :]
-        dx, dstate = newton(XY + dX * dY - sigma * mu)
+        dx, dstate = newton(XY + dX * dY - sigma * mu * np.tile(mult, 2))
         step = min(1.0, 0.99 * _max_step(state, dstate))
         x = x + step * dx
         state += step * dstate
-        Ax = A @ x
 
-        y_box = np.clip(state[2 * p : 3 * p], 0.0, lam)
+        state[2 * p : 3 * p] = np.clip(state[2 * p : 3 * p], 0.0, lam)
+        y_box = state[2 * p : 3 * p]
         u = A.T @ y_box
-        dual = max(dual, margin * float(y_box.sum()) - float(u @ (u / (4.0 * d) + a)))
-        g = float(d @ (x - a) ** 2) + lam * float(np.maximum(0.0, margin - Ax).sum())
+        bound = margin * float(y_box.sum()) - float(u @ (u / (4.0 * d) + a))
+        if bound > dual:
+            dual, best_y = bound, y_box.copy()
+        g = float(d @ (x - a) ** 2) + float(lam @ np.maximum(0.0, state[p : 2 * p] - state[:p]))
         objs.append(g)
         if g < best_g:
             best_x, best_g = x, g
@@ -119,4 +128,5 @@ def hinge_qp(
         best_gap = min(best_gap, gap)
         if not gap > max(opt.tol, GAP_FLOOR) * max(1.0, g) or stalls == STALL_ITERS:
             break
-    return best_x, best_g, dual, objs, iters
+    g = float(d @ (best_x - a) ** 2) + float(lam @ np.maximum(0.0, margin - A @ best_x))
+    return best_x, g, dual, best_y, objs, iters

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -421,8 +423,9 @@ class TestOutputPath:
 
 class TestScenarioModels:
     """A scenario can pass the schema while its hot block, or the target's shifted
-    one, selects no cell. Loading the config builds both demand models, so
-    every command stops with a clean error before any work."""
+    one, selects no cell, or while both base rates are 0. Loading the config
+    builds both demand models, so every command stops with a clean error, and
+    no warning, before any work."""
 
     CASES = {
         "hot_block": (
@@ -436,6 +439,13 @@ class TestScenarioModels:
         "block_shift": (
             dict(MICRO_SCENARIO, target_shift={"block_shift": [2, 0]}),
             "demand.hot_block shifted by target_shift.block_shift selects no cells",
+        ),
+        "zero_rates": (
+            dict(
+                MICRO_SCENARIO,
+                demand={"hot_block": [0, 0, 1, 2], "hot_rate": 0, "cold_rate": 0},
+            ),
+            "demand.hot_rate and demand.cold_rate are both 0: no cell has demand",
         ),
     }
 
@@ -454,11 +464,14 @@ class TestScenarioModels:
             args += ["--source-table", str(table), "--target-table", str(table)]
         if command != "validate-config":
             args += ["--out", str(out)]
-        result = CliRunner().invoke(main, args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {message}" in result.output
         assert "Traceback" not in result.output
+        assert [str(w.message) for w in caught] == []
         assert not out.exists()
 
 

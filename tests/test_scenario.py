@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -71,6 +72,16 @@ class TestValidation:
         raw["demand"]["hot_block"] = [0, 0, 0, 0]
         with pytest.raises(ScenarioError, match="demand.hot_block selects no cells"):
             Scenario.from_dict(raw)
+
+    def test_all_zero_base_rates_rejected(self):
+        raw = minimal_raw()
+        raw["demand"].update(hot_rate=0, cold_rate=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match="demand.hot_rate and demand.cold_rate"):
+                Scenario.from_dict(raw)
+        raw["demand"]["cold_rate"] = 0.1  # no hot demand is a valid scenario
+        assert Scenario.from_dict(raw).n_cells == 6
 
     def test_hot_block_shifted_off_the_grid_rejected(self):
         # the source block is fine; shifted two rows down it leaves the 2-row grid

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,13 +25,19 @@ from dispatchlab import (
     solve_time_step,
     transfer_evaluate,
 )
-from dispatchlab import transfer
+from dispatchlab import gpi, transfer
 from dispatchlab.scenario import default_scenario
 from dispatchlab.transfer import td_slice
 from dispatchlab.valuation import TupleArrays
 
 import reference_hinge_qp
-from conftest import grid_search_oracle, make_world, qp_reference, random_buffer
+from conftest import (
+    grid_search_oracle,
+    make_world,
+    qp_reference,
+    random_buffer,
+    slice_bounds,
+)
 from reference_objects import TransitionTuple, td_evaluate
 
 
@@ -66,8 +73,17 @@ def qp_to_rounding_floor(cells, targets, v_src_t, spec, warm):
     coupled, local = np.unique(np.concatenate([pi, pj]), return_inverse=True)
     weight = np.where(counts[coupled] > 0, counts[coupled], transfer.TIE_BREAK_RHO)
     opt = OptimizerSettings(max_iters=500, tol=0.0)
+    lam = np.full(len(s), float(spec.lam))
     v[coupled] = transfer._hinge_qp(
-        local[: len(s)], local[len(s):], s, weight, v[coupled], spec.lam, spec.margin, opt
+        local[: len(s)],
+        local[len(s):],
+        s,
+        weight,
+        v[coupled],
+        lam,
+        np.ones(len(s)),
+        spec.margin,
+        opt,
     )[0]
     return v
 
@@ -369,6 +385,7 @@ class TestInteriorPoint:
         for a, b in zip(new, old):
             np.testing.assert_array_equal(a.values, b.values)
             np.testing.assert_array_equal(a.trace, b.trace)
+            np.testing.assert_array_equal(a.multipliers, b.multipliers)
             assert (a.iterations, a.gap) == (b.iterations, b.gap)
             assert a.best_objective == b.best_objective
 
@@ -447,6 +464,8 @@ class TestInteriorPoint:
         res = solve_time_step(cells, targets, v_src_t, spec, opt, warm)
         assert (res.iterations, res.gap) == (0, 0.0)
         np.testing.assert_array_equal(res.values, closed)
+        assert res.multipliers.shape == spec.ordered_pairs(v_src_t)[2].shape
+        assert not np.any(res.multipliers)
         assert res.best_objective == penalized_objective(closed, cells, targets, v_src_t, spec)
         # the QP agrees on the cells with data; it holds the cells without
         # data only to about sqrt(gap / TIE_BREAK_RHO), so there it is
@@ -484,6 +503,144 @@ class TestInteriorPoint:
             ref = qp_reference(cells, targets, v_src, spec)
             f_ref = penalized_objective(ref, cells, targets, v_src, spec)
             assert res.best_objective <= f_ref + 1e-6 * max(1.0, f_ref)
+
+
+def planted_twin_slice(rng):
+    """A random slice on hot x cold pairs whose cold tier holds planted twins.
+
+    The twins share their source value (so every hot partner orders them
+    alike), their warm start, and either no data or the same targets. Each
+    pair is listed in a random orientation.
+    """
+    n_hot, n_cold = int(rng.integers(2, 5)), int(rng.integers(3, 7))
+    n = n_hot + n_cold
+    twins = np.arange(n_hot, n_hot + int(rng.integers(2, min(4, n_cold) + 1)))
+    v_src = np.concatenate([rng.normal(2.0, 1.5, n_hot), rng.normal(0.0, 1.5, n_cold)])
+    v_src[twins] = v_src[twins[0]]
+    warm = rng.normal(scale=3.0, size=n)
+    warm[twins] = warm[twins[0]]
+    cells, targets = [], []
+    for c in range(n_hot):
+        k = int(rng.integers(0, 4))
+        cells += [c] * k
+        targets += list(rng.normal(scale=3.0, size=k))
+    twin_targets = list(rng.normal(scale=3.0, size=int(rng.integers(0, 3))))
+    for c in range(n_hot, n):
+        own = twin_targets
+        if c not in twins:
+            own = list(rng.normal(scale=3.0, size=int(rng.integers(0, 3))))
+        cells += [c] * len(own)
+        targets += own
+    pairs = [
+        (h, c) if rng.random() < 0.5 else (c, h) for h in range(n_hot) for c in range(n_hot, n)
+    ]
+    spec = ConcordanceSpec(pairs=pairs, lam=float(rng.uniform(0.1, 3.0)), margin=1.0)
+    return np.array(cells, dtype=np.int64), np.array(targets), v_src, spec, warm, twins
+
+
+def coupled_classes(cells, targets, v_src_t, spec, warm):
+    """`_cell_classes` of a slice whose every cell is in a source-ordered pair."""
+    pi, pj, s = spec.ordered_pairs(v_src_t)
+    assert len(np.unique(np.concatenate([pi, pj]))) == len(v_src_t)
+    counts = np.bincount(cells, minlength=len(v_src_t))
+    weight = np.where(counts > 0, counts, transfer.TIE_BREAK_RHO)
+    return transfer._cell_classes(pi, pj, s, weight, closed_form(cells, targets, warm))
+
+
+def unmerged_solve(cells, targets, v_src_t, spec, opt, warm):
+    """`solve_time_step` with every coupled cell in a class of its own."""
+    with mock.patch.object(transfer, "_cell_classes", lambda li, lj, s, d, a: np.arange(len(d))):
+        return solve_time_step(cells, targets, v_src_t, spec, opt, warm)
+
+
+class TestInterchangeableCells:
+    @given(seed=st.integers(0, 10_000), tol=st.sampled_from([0.0, 1e-9]))
+    @settings(max_examples=60, deadline=None)
+    def test_merged_solve_matches_the_unmerged_kernel(self, seed, tol):
+        rng = np.random.default_rng(seed)
+        cells, targets, v_src, spec, warm, twins = planted_twin_slice(rng)
+        cls = coupled_classes(cells, targets, v_src, spec, warm)
+        assert len(set(cls[twins].tolist())) == 1
+        opt = OptimizerSettings(max_iters=500, tol=tol)
+        res = solve_time_step(cells, targets, v_src, spec, opt, warm)
+        # one variable per class: the twins come out bit-equal
+        assert len(set(res.values[twins].tolist())) == 1
+        # the class multipliers, lifted to the slice's pairs, certify its gap
+        g, dual = slice_bounds(cells, targets, v_src, spec, warm, res.values, res.multipliers)
+        assert (g - dual) / max(1.0, g) == pytest.approx(res.gap, abs=1e-12)
+        assert res.gap <= max(tol, 1e-12)
+        # the class QP follows the slice's central path: iteration by
+        # iteration, the two solves reach the same objective
+        unmerged = unmerged_solve(cells, targets, v_src, spec, opt, warm)
+        n = min(len(res.trace), len(unmerged.trace))
+        np.testing.assert_allclose(res.trace[:n], unmerged.trace[:n], rtol=1e-12, atol=1e-12)
+        # each cell agrees to 1e-8 or to within the band that the two gaps
+        # certify for it, sqrt(gap / d_c); on a cell without data (d_c = rho)
+        # that band is up to about 1e-4, and two labellings of the unmerged
+        # solve differ by as much there
+        g_u, dual_u = slice_bounds(
+            cells, targets, v_src, spec, warm, unmerged.values, unmerged.multipliers
+        )
+        assert g_u == pytest.approx(g, rel=1e-12, abs=1e-12)
+        counts = np.bincount(cells, minlength=len(warm))
+        d = np.where(counts > 0, counts, transfer.TIE_BREAK_RHO)
+        band = np.sqrt(max(g - dual, 0.0) / d) + np.sqrt(max(g_u - dual_u, 0.0) / d)
+        assert np.all(np.abs(res.values - unmerged.values) <= 1e-8 + band)
+
+    def test_cells_differing_only_in_warm_value_stay_apart(self):
+        # cells 2 and 3 have no data and the same partners; only their warm starts differ
+        spec = ConcordanceSpec(pairs=[(0, 2), (0, 3), (1, 2), (1, 3)])
+        v_src = np.array([5.0, 4.0, 1.0, 1.0])
+        cells, targets = np.array([0, 1]), np.array([0.0, 0.5])
+        cls = coupled_classes(cells, targets, v_src, spec, np.array([0.0, 0.0, 2.0, 2.0]))
+        assert cls[2] == cls[3]
+        cls = coupled_classes(cells, targets, v_src, spec, np.array([0.0, 0.0, 2.0, 2.5]))
+        assert cls[2] != cls[3]
+
+    def test_cells_differing_only_in_one_partner_sign_stay_apart(self):
+        # the source ranks cell 3 above cell 1 but cell 2 below it
+        spec = ConcordanceSpec(pairs=[(0, 2), (0, 3), (1, 2), (1, 3)])
+        cells, targets = np.array([0, 1]), np.array([0.0, 0.5])
+        warm = np.zeros(4)
+        cls = coupled_classes(cells, targets, np.array([5.0, 4.0, 1.0, 1.0]), spec, warm)
+        assert cls[2] == cls[3]
+        cls = coupled_classes(cells, targets, np.array([5.0, 4.0, 1.0, 4.5]), spec, warm)
+        assert cls[2] != cls[3]
+
+    def test_cells_paired_with_each_other_stay_apart(self):
+        # cells 1 and 2 have no data, the same warm start and the same partner
+        # 0, but the source also orders the pair (1, 2)
+        spec = ConcordanceSpec(pairs=[(0, 1), (0, 2), (1, 2)])
+        cells, targets, warm = np.array([0]), np.array([0.0]), np.zeros(3)
+        cls = coupled_classes(cells, targets, np.array([5.0, 1.0, 1.0]), spec, warm)
+        assert cls[1] == cls[2]  # a source tie drops the pair (1, 2)
+        cls = coupled_classes(cells, targets, np.array([5.0, 1.0, 1.5]), spec, warm)
+        assert len(set(cls.tolist())) == 3
+
+
+def test_every_slice_of_a_transfer_run_is_certified(monkeypatch):
+    """Every slice solve of a seed-0, 3-day pattern_transfer run carries
+    multipliers whose dual bound certifies its values to within `tol`,
+    including slices that the HiGHS reference cannot solve within its limit."""
+    sc = default_scenario()
+    source = prepare_source(sc, 0.9, seed=0)
+    solve, certified = transfer.solve_time_step, []
+
+    def certifying_solve(cells, targets, v_src_t, spec, opt, warm_start=None):
+        res = solve(cells, targets, v_src_t, spec, opt, warm_start=warm_start)
+        g, dual = slice_bounds(
+            cells, targets, v_src_t, spec, warm_start, res.values, res.multipliers
+        )
+        assert (g - dual) / max(1.0, g) == pytest.approx(res.gap, abs=1e-12)
+        assert res.gap <= opt.tol
+        assert res.iterations < opt.max_iters
+        certified.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(transfer, "solve_time_step", certifying_solve)
+    gpi.run_experiment(sc, gpi.PolicyKind.PATTERN_TRANSFER, 3, 0.9, seed=0, source=source)
+    assert len(certified) == 3 * sc.horizon
+    assert sum(it > 0 for it in certified) > sc.horizon
 
 
 class TestTransferEvaluate:
