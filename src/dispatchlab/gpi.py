@@ -73,9 +73,7 @@ def evaluate_policy_value(
 
     Target-fitting variants warm-start from the previous day's table. The
     source-only table is `v_src` itself, the DP fit of the source days, on
-    every day. `opt=None` means `OptimizerSettings()` (100 iterations, tol
-    1e-10), not `Scenario.optimizer_settings()` (250 iterations, tol 1e-5 by
-    default), which the GPI loop passes.
+    every day.
     """
     T, n = world.horizon, world.n_cells
     if kind is PolicyKind.GREEDY:

@@ -245,24 +245,16 @@ class Scenario:
     def _check_pairs(self) -> None:
         """Reject a pair set that could only fail once the source table exists."""
         n, cfg = self.n_cells, self.pair_config
-        where = "scenario field 'transfer/pairs'"
-        if isinstance(cfg, dict):
-            try:
-                tier_size(n, cfg["q"])
-            except ValueError as e:
-                raise ScenarioError(f"{where}: {e}") from e
-            return
-        for i, j in cfg:
-            if max(i, j) >= n:
-                raise ScenarioError(f"{where}: pair [{i}, {j}] names a cell >= N = {n}")
         try:
-            ConcordanceSpec(pairs=cfg, lam=self.lam, margin=self.margin)
+            if isinstance(cfg, dict):
+                tier_size(n, cfg["q"])
+            else:
+                ConcordanceSpec(pairs=cfg, lam=self.lam, margin=self.margin).check_cells(n)
         except ValueError as e:
-            raise ScenarioError(f"{where}: {e}") from e
+            raise ScenarioError(f"scenario field 'transfer/pairs': {e}") from e
 
     def optimizer_settings(self) -> OptimizerSettings:
-        o = self.raw.get("optimizer", {})
-        return OptimizerSettings(max_iters=o.get("max_iters", 250), tol=o.get("tol", 1e-5))
+        return OptimizerSettings(**self.raw.get("optimizer", {}))
 
     # -- builders ----------------------------------------------------------
     def build_world(self) -> GridWorld:
@@ -382,6 +374,5 @@ def default_scenario() -> Scenario:
                 "margin": 1.0,
                 "pairs": {"mode": "auto", "q": 0.2},
             },
-            "optimizer": {"max_iters": 250, "tol": 1e-5},
         }
     )

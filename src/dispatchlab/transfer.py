@@ -16,9 +16,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .valuation import BufferLike, ValueTable, backup_start, td_slice
+from .valuation import BufferLike, ValueTable, backup_start, closed_form, td_slice
 from .world import GridWorld
 
+# a slice's source-ordered pairs (i, j, s), as ConcordanceSpec.ordered_pairs gives them
+OrderedPairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # Weight of the pull toward the warm start on coupled cells without data. It
 # makes the slice minimizer unique (see solve_time_step) and is small enough
 # not to trade against the data or the hinge.
@@ -67,7 +69,13 @@ class ConcordanceSpec:
     def pair_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._pi, self._pj
 
-    def ordered_pairs(self, v_src_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def check_cells(self, n: int) -> None:
+        """Raise ValueError unless every pair names two cells of [0, n)."""
+        for i, j in self.pairs:
+            if min(i, j) < 0 or max(i, j) >= n:
+                raise ValueError(f"pair ({i}, {j}) names a cell outside [0, N) for N = {n}")
+
+    def ordered_pairs(self, v_src_t: np.ndarray) -> OrderedPairs:
         """The pairs (i, j) the source orders at this row, with s = sign(v_src_t[j] - v_src_t[i]).
 
         s is the side the source favours. Pairs stay in pair order; a source
@@ -80,7 +88,7 @@ class ConcordanceSpec:
 
 @dataclass
 class OptimizerSettings:
-    """Stopping rule of the slice solver.
+    """Stopping rule of the slice solver, and its one set of defaults.
 
     A solve stops once its relative duality gap is at most `tol`, or after
     `max_iters` interior-point iterations. `patience` belonged to the earlier
@@ -88,8 +96,8 @@ class OptimizerSettings:
     for that solver (such as perfbench/test_checks.py) still construct settings.
     """
 
-    max_iters: int = 100
-    tol: float = 1e-10
+    max_iters: int = 250
+    tol: float = 1e-5
     patience: InitVar[Optional[int]] = None
 
 
@@ -102,6 +110,7 @@ def _pair_gaps(v_a: ValueTable, v_b: ValueTable, spec: ConcordanceSpec) -> List[
         raise ValueError("value table shapes do not match")
     if len(spec.pairs) == 0:
         raise ValueError("concordance needs a nonempty pair set")
+    spec.check_cells(v_a.n_cells)
     pi, pj = spec.pair_arrays
     return [v.values[:-1, pi] - v.values[:-1, pj] for v in (v_a, v_b)]
 
@@ -120,10 +129,24 @@ def concordance_loss(v: ValueTable, v_src: ValueTable, spec: ConcordanceSpec) ->
     return float(np.mean(_discord_mask(*_pair_gaps(v, v_src, spec))))
 
 
+def _hinge(v_t: np.ndarray, pairs: OrderedPairs, margin: float) -> np.ndarray:
+    """The hinge terms max(0, margin - s (v_j - v_i)) of the pairs."""
+    i, j, s = pairs
+    return np.maximum(0.0, margin - s * (v_t[j] - v_t[i]))
+
+
 def hinge_penalty(v_t: np.ndarray, v_src_t: np.ndarray, spec: ConcordanceSpec) -> float:
     """Hinge surrogate for the per-slice discordance count (source ties skip)."""
-    i, j, s = spec.ordered_pairs(v_src_t)
-    return float(np.sum(np.maximum(0.0, spec.margin - s * (v_t[j] - v_t[i]))))
+    return float(np.sum(_hinge(v_t, spec.ordered_pairs(v_src_t), spec.margin)))
+
+
+def _objective(v_t, cells, targets, pairs: OrderedPairs, spec: ConcordanceSpec) -> float:
+    """`penalized_objective` over the slice's source-ordered `pairs`."""
+    resid = v_t[cells] - targets
+    obj = float(np.dot(resid, resid))
+    if spec.lam > 0:
+        obj += spec.lam * float(np.sum(_hinge(v_t, pairs, spec.margin)))
+    return obj
 
 
 def penalized_objective(
@@ -134,11 +157,7 @@ def penalized_objective(
     spec: ConcordanceSpec,
 ) -> float:
     """Squared TD error over the slice plus lambda times the hinge penalty."""
-    resid = v_t[cells] - targets
-    obj = float(np.dot(resid, resid))
-    if spec.lam > 0:
-        obj += spec.lam * hinge_penalty(v_t, v_src_t, spec)
-    return obj
+    return _objective(v_t, cells, targets, spec.ordered_pairs(v_src_t), spec)
 
 
 def objective_gradient(
@@ -157,8 +176,8 @@ def objective_gradient(
     resid = v_t[cells] - targets
     grad = 2.0 * np.bincount(cells, weights=resid, minlength=n)
     if spec.lam > 0:
-        i, j, s = spec.ordered_pairs(v_src_t)
-        active = s * (v_t[j] - v_t[i]) < spec.margin
+        pairs = i, j, s = spec.ordered_pairs(v_src_t)
+        active = _hinge(v_t, pairs, spec.margin) > 0
         if np.any(active):
             s = s[active]
             grad += spec.lam * np.bincount(i[active], weights=s, minlength=n)
@@ -202,8 +221,8 @@ def solve_time_step(
     Up to a constant the objective is sum_c n_c (v_c - mean_c)^2 plus lambda
     times the hinge over the source-ordered pairs, where n_c and mean_c are
     the count and mean of cell c's targets. Cells that no source-ordered pair
-    touches have a closed form: their target mean if they have data, else the
-    warm start. The coupled cells are solved as the QP
+    touches have a closed form (`valuation.closed_form`): their target mean,
+    else the warm start. The coupled cells are solved as the QP
 
         min  sum_c n_c (v_c - mean_c)^2 + lambda * sum_p xi_p
         s.t. xi_p >= margin - s_p (v_j - v_i),  xi_p >= 0
@@ -239,20 +258,18 @@ def solve_time_step(
     """
     n = len(v_src_t)
     warm = np.zeros(n) if warm_start is None else np.array(warm_start, dtype=float)
-    f_warm = penalized_objective(warm, cells, targets, v_src_t, spec)
+    pairs = pi, pj, s = spec.ordered_pairs(v_src_t)
+    f_warm = _objective(warm, cells, targets, pairs, spec)
     if not math.isfinite(f_warm):
         raise OptimizationError(
             f"non-finite slice objective {f_warm} at the warm start: |D(t)|={len(cells)}, "
             f"{np.count_nonzero(~np.isfinite(targets))} non-finite targets"
         )
-    counts = np.bincount(cells, minlength=n)
+    v, counts = closed_form(cells, targets, warm)
     covered = counts > 0
-    v = warm.copy()
-    v[covered] = np.bincount(cells, weights=targets, minlength=n)[covered] / counts[covered]
     resid = v[cells] - targets
     const = float(np.dot(resid, resid))  # objective at the per-cell means
-    pi, pj, s = spec.ordered_pairs(v_src_t)
-    if spec.lam == 0 or not np.any(s * (v[pj] - v[pi]) < spec.margin):
+    if spec.lam == 0 or not np.any(_hinge(v, pairs, spec.margin) > 0):
         # every hinge term is >= 0 and vanishes at the closed form, where the
         # quadratic is least and the cells without data sit at their warm
         # start: it is the exact, tie-broken minimizer
@@ -295,9 +312,7 @@ def solve_time_step(
     gap = (qp_obj - dual) / max(1.0, qp_obj)
     # a class pair's multiplier, shared out over the pairs it stands for
     y = np.minimum(y[pair_class] / mu[pair_class], spec.lam)
-    return SolveResult(
-        v, penalized_objective(v, cells, targets, v_src_t, spec), trace, iters, gap, y
-    )
+    return SolveResult(v, _objective(v, cells, targets, pairs, spec), trace, iters, gap, y)
 
 
 def _cell_classes(
@@ -473,16 +488,13 @@ def transfer_evaluate(
     opt: Optional[OptimizerSettings] = None,
     init: Optional[ValueTable] = None,
 ) -> ValueTable:
-    """Backward pass solving the concordance-penalized TD problem per time step.
-
-    `opt=None` means `OptimizerSettings()` (100 iterations, tol 1e-10), not
-    `Scenario.optimizer_settings()` (250 iterations, tol 1e-5 by default).
-    """
+    """Backward pass solving the concordance-penalized TD problem per time step."""
     T, n = world.horizon, world.n_cells
     if v_src.values.shape != (T + 1, n):
         raise ValueError(
             f"source table shape {v_src.values.shape} does not match world ({T + 1}, {n})"
         )
+    spec.check_cells(n)
     opt = opt or OptimizerSettings()
     arr, values = backup_start(buffer, world, init)
     for t in range(T - 1, -1, -1):

@@ -76,9 +76,6 @@ class ValueTable:
     def n_cells(self) -> int:
         return self.values.shape[1]
 
-    def get(self, t: int, cell: int) -> float:
-        return float(self.values[t, cell])
-
     @classmethod
     def zeros(cls, horizon: int, n_cells: int, gamma: float) -> "ValueTable":
         return cls(np.zeros((horizon + 1, n_cells)), gamma)
@@ -184,9 +181,10 @@ class TupleArrays:
     times that have rows, ascending; rows `_bounds[i]` to `_bounds[i + 1]`
     start at `_times[i]`, and rows `_kept[i]` to `_kept[i + 1]` of `full`
     are the full ones among them. All three are short Python lists, so
-    `slice_at` is a bisection with no numpy call. `start_t`, `finish_t`,
-    `finish_cell`, `reward` and `duration` are derived as new read-only
-    full columns; only `as_arrays`, tests and perfbench/layers.py read them.
+    finding the rows of a time is a bisection with no numpy call. `start_t`,
+    `finish_t`, `finish_cell`, `reward` and `duration` are derived as new
+    read-only full columns; only `as_arrays`, tests and perfbench/layers.py
+    read them.
     """
 
     __slots__ = ("start_cell", "full", "full_reward", "_times", "_bounds", "_kept")
@@ -312,11 +310,6 @@ class TupleArrays:
             return None
         return self._bounds[i], self._bounds[i + 1], self._kept[i], self._kept[i + 1]
 
-    def slice_at(self, t: int) -> slice:
-        """Index range of tuples whose start time is t."""
-        span = self._span(t)
-        return slice(0, 0) if span is None else slice(span[0], span[1])
-
 
 BufferLike = Union[TupleArrays, Sequence[TupleArrays]]
 
@@ -423,6 +416,17 @@ def td_slice(
     return cells, targets
 
 
+def closed_form(cells, targets, warm: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each cell's mean backup target, or its `warm` value if it has none, and
+    its target count: the fit of `dp_evaluate`, and of `solve_time_step` on
+    every cell that no source-ordered pair couples."""
+    counts = np.bincount(cells, minlength=len(warm))
+    covered = counts > 0
+    v = warm.copy()
+    v[covered] = np.bincount(cells, weights=targets, minlength=len(warm))[covered] / counts[covered]
+    return v, counts
+
+
 def dp_evaluate(
     buffer: BufferLike,
     world: GridWorld,
@@ -435,13 +439,7 @@ def dp_evaluate(
     the warm-start table when given).
     """
     arr, values = backup_start(buffer, world, init)
-    n = world.n_cells
     for t in range(world.horizon - 1, -1, -1):
         cells, targets = td_slice(arr, t, values, gamma)
-        if len(cells) == 0:
-            continue
-        counts = np.bincount(cells, minlength=n)
-        sums = np.bincount(cells, weights=targets, minlength=n)
-        covered = counts > 0
-        values[t, covered] = sums[covered] / counts[covered]
+        values[t] = closed_form(cells, targets, values[t])[0]
     return ValueTable(values, gamma)

@@ -145,13 +145,12 @@ def compact_part(start_t, start_cell, finish_t, finish_cell, reward, duration):
     return TupleArrays.join(windows)
 
 
-def assert_same_part(got, want, horizon):
-    """Two TupleArrays hold the same rows bit for bit, with the same slice at every time."""
+def assert_same_part(got, want):
+    """Two TupleArrays hold the same rows bit for bit. `got.start_t` is built
+    from its per-time bounds, so they are checked too."""
     for name in TUPLE_COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for t in range(horizon + 1):
-        assert got.slice_at(t) == want.slice_at(t), t
 
 
 def grid_search_oracle(cells, targets, v_src, spec, lo, hi, res=1e-3):

@@ -173,14 +173,14 @@ def build_problem(
     feasible = np.ones((m, n + 1), dtype=bool)
     for l, driver in enumerate(drivers):
         t, cell = driver.state.t, driver.state.cell
-        scores[l, 0] = value.get(t, cell)
+        scores[l, 0] = value.values[t, cell]
         for k, order in enumerate(orders):
             pickup = int(world.pickup_matrix[cell, order.origin])
             total = pickup + order.duration
             reward = gamma**pickup * truncated_discounted_reward(
                 order.revenue, order.duration, gamma, T - (t + pickup)
             )
-            continuation = value.get(min(t + total, T), order.destination)
+            continuation = value.values[min(t + total, T), order.destination]
             scores[l, k + 1] = gamma**total * continuation + reward
             feasible[l, k + 1] = t + pickup < T and (radius is None or pickup <= radius)
     return MatchProblem(list(drivers), list(orders), scores, feasible)

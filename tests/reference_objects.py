@@ -102,7 +102,7 @@ def q_value(
     """
     t = driver.state.t
     if order is None:
-        return value.get(t, driver.state.cell)
+        return value.values[t, driver.state.cell]
     T = world.horizon
     pickup = int(world.pickup_matrix[driver.state.cell, order.origin])
     total = pickup + order.duration
@@ -110,7 +110,7 @@ def q_value(
     r_k = gamma**pickup * truncated_discounted_reward(
         order.revenue, order.duration, gamma, T - (t + pickup)
     )
-    return gamma**total * value.get(finish_t, order.destination) + r_k
+    return gamma**total * value.values[finish_t, order.destination] + r_k
 
 
 def td_evaluate(

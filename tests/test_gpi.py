@@ -132,7 +132,7 @@ class TestBuffer:
     def assert_same(self, got, parts):
         assert all(a is b for a, b in zip(got, parts)) and len(got) == len(parts)
         want = FullPart.from_tuples([tr for part in parts for tr in self.tuples[part]])
-        assert_same_part(as_arrays(got), want, self.WORLD.horizon)
+        assert_same_part(as_arrays(got), want)
 
     def test_merged_views_equal_concat_of_parts(self):
         buffer = Buffer(source_days=[self.day(), self.day()])

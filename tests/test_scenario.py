@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from dispatchlab import Scenario, ScenarioError, default_scenario
+from dispatchlab import OptimizerSettings, Scenario, ScenarioError, default_scenario
 from dispatchlab.reporting import CONFIG_SCHEMA
 from dispatchlab.scenario import SCENARIO_SCHEMA
 
@@ -39,6 +39,11 @@ class TestValidation:
             raw = minimal_raw(optimizer={key: 5, "max_iters": 40, "tol": 1e-7})
             with pytest.raises(ScenarioError, match=f"'{key}' was unexpected"):
                 Scenario.from_dict(raw)
+
+    def test_optimizer_block_overrides_the_solver_defaults(self):
+        assert Scenario.from_dict(minimal_raw()).optimizer_settings() == OptimizerSettings()
+        sc = Scenario.from_dict(minimal_raw(optimizer={"tol": 1e-7}))
+        assert sc.optimizer_settings() == OptimizerSettings(tol=1e-7)
 
     def test_retired_hot_ramp_rejected(self):
         # target_shift.hot_ramp tilted rates across the hot block; nothing used it
@@ -97,7 +102,7 @@ class TestValidation:
         assert Scenario.from_dict(raw).n_cells == 3
 
     def test_explicit_pairs_must_name_cells(self):
-        with pytest.raises(ScenarioError, match="transfer/pairs"):
+        with pytest.raises(ScenarioError, match=r"transfer/pairs.*pair \(0, 6\) .* N = 6"):
             Scenario.from_dict(minimal_raw(transfer={"pairs": [[0, 6]]}))
         with pytest.raises(ScenarioError, match="transfer/pairs"):
             Scenario.from_dict(minimal_raw(transfer={"pairs": [[2, 2]]}))

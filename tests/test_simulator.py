@@ -208,7 +208,7 @@ class TestApplyMatching:
         assert len(arr.full) == len(arr.full_reward) == np.count_nonzero(assignment >= 0)
         assert np.count_nonzero(np.signbit(arr.reward)) == (m == 5)
         want = TupleArrays(*(getattr(arr, name) for name in TUPLE_COLUMNS))
-        assert_same_part(arr, want, self.world.horizon)
+        assert_same_part(arr, want)
 
     def test_rejects_duplicate_driver(self):
         drivers = DriverBatch([0, 0], [0, 0], 0)
@@ -396,7 +396,7 @@ class TestRunDay:
         # some windows serve several drivers, and some time has no idle driver
         assert max(map(len, windows)) > 1
         assert len(windows) < world.horizon
-        assert_same_part(day, as_arrays(windows), world.horizon)
+        assert_same_part(day, as_arrays(windows))
 
     def test_day_stores_4_bytes_a_row_and_24_a_full_row(self, monkeypatch):
         # an idle transition is its start cell alone; a served row adds its position,
@@ -413,7 +413,7 @@ class TestRunDay:
         model = flat_model(world, 0.5)
         tuples, metrics = run_day(world, model, greedy_for(world, 0.9), 0.9, seed=0)
         assert metrics.orders_created > 0 and metrics.orders_answered == 0
-        assert len(tuples) == 0 and tuples.slice_at(0) == slice(0, 0)
+        assert len(tuples) == 0 and len(tuples.start_t) == 0
         assert_tuple_dtypes(tuples)
         assert np.all(dp_evaluate(tuples, world, 0.9).values == 0.0)
         v_src = ValueTable(np.vstack([np.ones((6, 2)), np.zeros(2)]), 0.9)

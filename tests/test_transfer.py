@@ -482,12 +482,32 @@ class TestInteriorPoint:
         cells = np.array([0, 1, 2])
         targets = np.array([0.0, 2.0, 4.0])
         agrees, flipped = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 2.0])
-        assert solve_time_step(cells, targets, agrees, spec, OptimizerSettings()).iterations == 0
-        res = solve_time_step(cells, targets, flipped, spec, OptimizerSettings())
+        opt = OptimizerSettings(tol=1e-10)
+        assert solve_time_step(cells, targets, agrees, spec, opt).iterations == 0
+        res = solve_time_step(cells, targets, flipped, spec, opt)
         assert res.iterations > 0
         assert res.gap <= 1e-10
         qp = qp_to_rounding_floor(cells, targets, flipped, spec, np.zeros(3))
         np.testing.assert_allclose(res.values, qp, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "v_src_t, lam, runs_qp",
+        [
+            ([1.0, 0.0, 2.0], 1.0, True),  # the source flips pair (0, 1)
+            ([0.0, 1.0, 2.0], 1.0, False),  # every hinge is 0 at the means
+            ([1.0, 0.0, 2.0], 0.0, False),  # no penalty
+        ],
+    )
+    def test_one_pair_set_per_solve(self, v_src_t, lam, runs_qp):
+        spec = ConcordanceSpec(pairs=[(0, 1), (1, 2)], lam=lam, margin=1.0)
+        cells, targets = np.array([0, 1, 2]), np.array([0.0, 2.0, 4.0])
+        with mock.patch.object(
+            ConcordanceSpec, "ordered_pairs", autospec=True,
+            side_effect=ConcordanceSpec.ordered_pairs,
+        ) as ordered_pairs:
+            res = solve_time_step(cells, targets, np.array(v_src_t), spec, OptimizerSettings())
+        assert (res.iterations > 0) == runs_qp
+        assert ordered_pairs.call_count == 1
 
     def test_certified_gap_on_random_slices(self):
         rng = np.random.default_rng(13)
@@ -654,6 +674,40 @@ class TestTransferEvaluate:
         got = transfer_evaluate(tuples, v_src, spec, world, 0.9, opt)
         want = dp_evaluate(tuples, world, 0.9)
         assert np.max(np.abs(got.values - want.values)) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_lambda_zero_is_dp_bit_for_bit(self, seed, warm):
+        # both fit each cell by valuation.closed_form, read from day parts
+        world = make_world(5, 8)
+        rng = np.random.default_rng(seed)
+        parts = [
+            TupleArrays.from_tuples(random_buffer(rng, world, int(rng.integers(0, 60))))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        init = None
+        if warm:
+            values = rng.normal(scale=3.0, size=(world.horizon + 1, world.n_cells))
+            values[-1] = 0.0
+            init = ValueTable(values, 0.9)
+        v_src = ValueTable(
+            np.vstack([rng.normal(size=(world.horizon, world.n_cells)), np.zeros(world.n_cells)]),
+            0.9,
+        )
+        spec = ConcordanceSpec(pairs=all_pairs(world.n_cells), lam=0.0)
+        got = transfer_evaluate(parts, v_src, spec, world, 0.9, init=init)
+        np.testing.assert_array_equal(got.values, dp_evaluate(parts, world, 0.9, init=init).values)
+
+    def test_rejects_pair_outside_the_world(self):
+        world = make_world(3, 4)
+        v_src = ValueTable.zeros(4, 3, 0.9)
+        spec = ConcordanceSpec(pairs=[(0, 1), (0, 5)])
+        with pytest.raises(ValueError, match=r"pair \(0, 5\) .* N = 3"):
+            transfer_evaluate([], v_src, spec, world, 0.9)
+        with pytest.raises(ValueError, match=r"pair \(0, 5\) .* N = 3"):
+            concordance_rate_report(v_src, v_src, spec)
+        with pytest.raises(ValueError, match=r"pair \(-1, 2\) .* N = 3"):
+            ConcordanceSpec(pairs=[(-1, 2)]).check_cells(3)
 
     def test_data_free_limit_is_concordant(self):
         world = make_world(4, 5)

@@ -185,23 +185,23 @@ class TestValueTable:
 
 
 class TestTupleArrays:
-    def test_slice_at_groups_by_start_time(self):
+    def test_start_t_groups_rows_by_start_time(self):
         world = make_world(3, 6)
         tuples = random_buffer(np.random.default_rng(0), world, 40)
         arr = TupleArrays.from_tuples(tuples)
         assert_tuple_dtypes(arr)
+        assert np.all(np.diff(arr.start_t) >= 0)
         for t in range(world.horizon):
-            sl = arr.slice_at(t)
             expected = sorted(
                 (tr.reward_discounted for tr in tuples if tr.start.t == t)
             )
-            assert sorted(arr.reward[sl]) == pytest.approx(expected)
+            assert sorted(arr.reward[arr.start_t == t]) == pytest.approx(expected)
 
     def test_empty_buffer(self):
         arr = TupleArrays.from_tuples([])
         assert len(arr) == 0
         assert_tuple_dtypes(arr)
-        assert arr.slice_at(0) == slice(0, 0)
+        assert len(arr.start_t) == 0
 
     def test_concat_matches_union(self):
         world = make_world(3, 6)
@@ -305,7 +305,7 @@ class TestIdleForm:
         for arr, kept in ((TupleArrays(*cols), len(want.start_t)), (compact_part(*cols), full)):
             assert len(arr.full) == kept
             assert_tuple_dtypes(arr)
-            assert_same_part(arr, want, self.WORLD.horizon)
+            assert_same_part(arr, want)
             # -0.0 is not the idle reward: those rows keep their sign
             assert np.array_equal(np.signbit(arr.reward), np.signbit(want.reward))
             stored = [getattr(arr, name) for name in TupleArrays.__slots__]
@@ -351,9 +351,9 @@ class TestDpEvaluate:
             TransitionTuple(State(0, 0), o, 1.0, State(1, 1), 1),
         ]
         table = dp_evaluate(TupleArrays.from_tuples(tuples), world, 0.9)
-        assert table.get(1, 1) == pytest.approx(2.0)
-        assert table.get(0, 0) == pytest.approx(2.8)
-        assert table.get(0, 1) == 0.0
+        assert table.values[1, 1] == pytest.approx(2.0)
+        assert table.values[0, 0] == pytest.approx(2.8)
+        assert table.values[0, 1] == 0.0
 
     def test_rejects_non_advancing_tuple(self):
         world = make_world(2, 4)
@@ -376,9 +376,9 @@ class TestDpEvaluate:
         tuples = TupleArrays.from_tuples([TransitionTuple(State(0, 0), None, 0.0, State(1, 0), 1)])
         table = dp_evaluate(tuples, world, 0.9, init=init)
         # covered cell backs up onto the warm-started later value
-        assert table.get(0, 0) == pytest.approx(0.9 * 5.0)
+        assert table.values[0, 0] == pytest.approx(0.9 * 5.0)
         # untouched cells keep the initialization
-        assert table.get(2, 1) == 5.0
+        assert table.values[2, 1] == 5.0
         assert np.all(table.values[-1] == 0.0)
 
 
@@ -419,8 +419,8 @@ class TestTdEvaluate:
             TransitionTuple(State(0, 0), o, 1.0, State(1, 1), 1),
         ]
         table = td_evaluate(TupleArrays.from_tuples(tuples), world, 0.9)
-        assert table.get(1, 1) == pytest.approx(2.0)
-        assert table.get(0, 0) == pytest.approx(2.8)
+        assert table.values[1, 1] == pytest.approx(2.0)
+        assert table.values[0, 0] == pytest.approx(2.8)
 
     def test_agrees_with_dp_on_random_buffers(self):
         world = make_world(8, 12)
