@@ -9,6 +9,7 @@ from dispatchlab import (
     DriverBatch,
     DriverPool,
     GridWorld,
+    OptimizerSettings,
     OrderBatch,
     OrderRequest,
     TupleArrays,
@@ -418,7 +419,8 @@ class TestRunDay:
         assert np.all(dp_evaluate(tuples, world, 0.9).values == 0.0)
         v_src = ValueTable(np.vstack([np.ones((6, 2)), np.zeros(2)]), 0.9)
         spec = ConcordanceSpec(pairs=[(0, 1)], lam=1.0)
-        table = transfer_evaluate([tuples, tuples], v_src, spec, world, 0.9)
+        opt = OptimizerSettings(tol=1e-10)
+        table = transfer_evaluate([tuples, tuples], v_src, spec, world, 0.9, opt)
         assert np.all(table.values == 0.0)
 
     def test_day_is_reproducible(self):

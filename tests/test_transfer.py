@@ -321,7 +321,7 @@ class TestSolveTimeStep:
                 pairs=all_pairs(3), lam=float(rng.random() * 2), margin=0.5
             )
             res = solve_time_step(
-                cells, targets, v_src, spec, OptimizerSettings(max_iters=300)
+                cells, targets, v_src, spec, OptimizerSettings(max_iters=300, tol=1e-10)
             )
             assert np.all(np.diff(res.trace) <= 0)
 
@@ -437,7 +437,7 @@ class TestInteriorPoint:
         warm = np.array([2.0, 5.0])
         res = solve_time_step(
             np.array([0, 0]), np.array([1.0, 3.0]), np.array([0.0, 1.0]), spec,
-            OptimizerSettings(), warm,
+            OptimizerSettings(tol=1e-10), warm,
         )
         assert (res.iterations, res.gap) == (0, 0.0)
         np.testing.assert_array_equal(res.values, warm)
@@ -714,7 +714,7 @@ class TestTransferEvaluate:
         src = np.tile(np.array([4.0, 3.0, 2.0, 1.0]), (world.horizon, 1))
         v_src = ValueTable(np.vstack([src, np.zeros(4)]), 0.9)
         spec = ConcordanceSpec(pairs=all_pairs(4), lam=5.0, margin=1.0)
-        got = transfer_evaluate([], v_src, spec, world, 0.9)
+        got = transfer_evaluate([], v_src, spec, world, 0.9, OptimizerSettings(tol=1e-10))
         assert concordance_loss(got, v_src, spec) == 0.0
 
     def test_penalty_never_hurts_concordance(self):
@@ -724,7 +724,7 @@ class TestTransferEvaluate:
         src = np.tile(np.linspace(6, 1, 6), (world.horizon, 1))
         v_src = ValueTable(np.vstack([src, np.zeros(6)]), 0.9)
         spec = ConcordanceSpec(pairs=all_pairs(6), lam=3.0, margin=1.0)
-        got = transfer_evaluate(tuples, v_src, spec, world, 0.9)
+        got = transfer_evaluate(tuples, v_src, spec, world, 0.9, OptimizerSettings(tol=1e-10))
         baseline = td_evaluate(tuples, world, 0.9)
         assert concordance_loss(got, v_src, spec) <= concordance_loss(
             baseline, v_src, spec

@@ -7,6 +7,7 @@ from dispatchlab import (
     ConcordanceSpec,
     DriverSlot,
     GridWorld,
+    OptimizerSettings,
     OrderRequest,
     State,
     TupleArrays,
@@ -435,7 +436,8 @@ class TestTdEvaluate:
 def transfer_from_zero(buffer, world, gamma):
     """transfer_evaluate toward an all-zero source table on one pair."""
     v_src = ValueTable.zeros(world.horizon, world.n_cells, gamma)
-    return transfer_evaluate(buffer, v_src, ConcordanceSpec(pairs=[(0, 1)]), world, gamma)
+    spec = ConcordanceSpec(pairs=[(0, 1)])
+    return transfer_evaluate(buffer, v_src, spec, world, gamma, OptimizerSettings(tol=1e-10))
 
 
 class TestStartingTable:
@@ -529,7 +531,8 @@ def transfer_toward_random_source(buffer, world, gamma):
     values = np.vstack([rng.random((world.horizon, world.n_cells)) * 5, np.zeros(world.n_cells)])
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     spec = ConcordanceSpec(pairs=pairs, lam=2.0)
-    return transfer_evaluate(buffer, ValueTable(values, gamma), spec, world, gamma)
+    opt = OptimizerSettings(tol=1e-10)
+    return transfer_evaluate(buffer, ValueTable(values, gamma), spec, world, gamma, opt)
 
 
 class TestDayParts:
